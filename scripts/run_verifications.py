@@ -4,7 +4,8 @@
 Usage:
     python scripts/run_verifications.py [--out-dir reports] [--fast] [--seed N]
 
-``--fast`` keeps only the prime-field runs (seconds instead of minutes).
+``--fast`` keeps only the prime-field runs and the small char-0 ones; the full
+list adds fermat-4, fermat-5 and grid-2x3 in characteristic zero.
 """
 
 import argparse
@@ -37,6 +38,7 @@ def build_jobs(fast: bool):
     if not fast:
         jobs += [
             ("fermat-4", lambda: fermat(4)),
+            ("fermat-5", lambda: fermat(5)),
             ("grid-2x3", lambda: grid_example(2, 3)),
         ]
     return jobs

@@ -30,11 +30,13 @@ from .points import (
     symbolic_power_membership,
 )
 from .polynomials import (
+    DS,
     GREVLEX,
     LEX,
     BlockOrder,
     GrevlexOrder,
     LexOrder,
+    NegDegRevlexOrder,
     PolyRing,
     Polynomial,
     compare_monomials,

@@ -3,7 +3,8 @@
 Subcommands construct a configuration, run the verification pipeline, print a
 human-readable summary to stdout, and optionally write the full report as
 JSON.  Exit codes: 0 condition verified, 1 condition not established,
-2 invalid input or parameters, 3 a computation budget ran out.
+2 invalid input or parameters, 3 a computation budget ran out, 4 an internal
+consistency check failed (a bug).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .configs import (
     three_points,
     two_pencils,
 )
-from .errors import InputError, ResourceLimitError, SymreesError
+from .errors import InputError, InvariantError, ResourceLimitError, SymreesError
 from .fields import CyclotomicField, Field, FieldSpec, PrimeField, RationalField, make_field
 from .ideals import INFINITE
 from .parsing import parse_polynomial, parse_scalar
@@ -31,6 +32,7 @@ EXIT_VERIFIED = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,6 +254,9 @@ def run(argv=None) -> int:
         _print_report(report)
         _emit_json(report, args)
         return EXIT_VERIFIED if report.verdict == VERDICT_VERIFIED else EXIT_NOT_ESTABLISHED
+    except InvariantError as exc:
+        print(f"internal error, this is a bug in symrees: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

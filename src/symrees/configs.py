@@ -332,11 +332,16 @@ def _iroot(a: int, k: int):
     if neg and k % 2 == 0:
         return None
     a = abs(a)
-    r = round(a ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == a:
-            return -cand if neg else cand
-    return None
+    # integer Newton from a power of two above the root; it decreases to floor(a^(1/k))
+    r = 1 << -(-a.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + a // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    if r**k != a:
+        return None
+    return -r if neg else r
 
 
 def _kth_root(field, ratio, k):

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Two broad branches matter for the CLI: ``InputError`` (bad parameters or
-malformed input, exit code 2) and ``ResourceLimitError`` (a configured
-computational budget ran out, exit code 3).
+Three branches matter for the CLI: ``InputError`` (bad parameters or
+malformed input, exit code 2), ``ResourceLimitError`` (a configured
+computational budget ran out, exit code 3) and ``InvariantError`` (an
+internal consistency check failed, a bug: exit code 4).
 """
 
 

@@ -9,7 +9,10 @@ elements monic instead.
 ``truncate_degree=N`` silently drops every term of total degree > N.  That is
 only sound when the generators include all monomials of degree exactly N (the
 drop is then an exact division step against one of them), which is how the
-length computations arrange their m-adic truncations.
+length computations arrange their m-adic truncations.  A local order (DS) is
+accepted only with a truncation: the cap is what leaves finitely many live
+monomials, so that reduction terminates and the result is a standard basis of
+the m-primary ideal.
 """
 
 from __future__ import annotations
@@ -125,6 +128,12 @@ def _merge(a, b, field, key):
     out.extend(a[ia:])
     out.extend(b[ib:])
     return out
+
+
+def _check_order(order, cap=None):
+    """Reduction under a local order terminates only below a degree cap."""
+    if order.is_local and cap is None:
+        raise InputError(f"the local order {order!r} needs a truncate_degree")
 
 
 def _reduce_scaled(terms, reducers, field, key, cap=None):
@@ -257,6 +266,7 @@ def normal_form(f, basis, order=GREVLEX):
         raise ZeroPolynomialError("normal form against a zero polynomial")
     if isinstance(basis, GroebnerBasis):
         order = basis.order
+    _check_order(order)
     ring = f.ring
     key = _key_cache(order)
     reducers = []
@@ -272,6 +282,7 @@ def normal_form_with_quotients(f, basis, order=GREVLEX):
     polys = _as_polys(basis)
     if not polys or any(p.is_zero() for p in polys):
         raise InputError("division needs nonzero divisors")
+    _check_order(order)
     ring = f.ring
     field = ring.field
     key = _key_cache(order)
@@ -333,6 +344,7 @@ def _completed_basis(generators, order, cap):
     for g in gens:
         if g.ring != ring:
             raise VariableMismatchError("generators over different rings")
+    _check_order(order, cap)
     field = ring.field
     key = _key_cache(order)
 

@@ -45,9 +45,16 @@ def mono_degree(a):
 # --- monomial orders -----------------------------------------------------------
 
 class MonomialOrder:
-    """Total multiplicative order on exponent tuples with 1 minimal."""
+    """Total multiplicative order on exponent tuples.
+
+    Global orders (grevlex, lex, block) are well-orders with 1 minimal.  A
+    local order (``is_local``, here only DS) has 1 maximal: it is a well-order
+    only on the finitely many monomials below a degree bound, so Groebner
+    computations accept it only together with ``truncate_degree``.
+    """
 
     kind = "?"
+    is_local = False
 
     def key(self, expo):
         raise NotImplementedError
@@ -113,8 +120,21 @@ class BlockOrder(MonomialOrder):
         return f"block({self.n_elim}, {self.inner!r})"
 
 
+class NegDegRevlexOrder(MonomialOrder):
+    """Negative degree reverse lexicographic (Singular's ``ds``): lower total
+    degree is larger, ties broken as in grevlex.  A local order, so the lead
+    term of a polynomial is taken among its lowest-degree terms."""
+
+    kind = "ds"
+    is_local = True
+
+    def key(self, expo):
+        return (-sum(expo), tuple(-e for e in reversed(expo)))
+
+
 GREVLEX = GrevlexOrder()
 LEX = LexOrder()
+DS = NegDegRevlexOrder()
 
 
 def compare_monomials(order, a, b):

@@ -8,11 +8,13 @@ with xi_i in the r_i-th symbolic power of the points ideal I:
 * the length check against a validated linear form u: the local length of
   S/(u, xi1, xi2) at the origin equals r1*r2 * dim_K S/(uS + I).
 
-The local length is computed by m-adic truncation: colengths of J + m^N are
-non-decreasing in N and agreement of two consecutive values certifies, by
-Nakayama, that the value is exact.  A verified criterion implies the symbolic
-Rees ring is finitely generated; a failed check proves nothing (the criterion
-is existential over witness pairs).
+The local length is computed from one m-adically truncated standard basis of
+J + m^N' under the local order DS: its standard monomials, counted by degree,
+give every colength dim S/(J + m^N) with N <= N', and the first degree d with
+none certifies by Nakayama that colength(d) is the exact local length.  N'
+grows only when no such degree lies below it.  A verified criterion implies
+the symbolic Rees ring is finitely generated; a failed check proves nothing
+(the criterion is existential over witness pairs).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .points import (
     points_ideal,
     symbolic_power_membership,
 )
-from .polynomials import Polynomial, mono_divides
+from .polynomials import DS, Polynomial, mono_divides
 
 VERDICT_VERIFIED = "condition-verified"
 VERDICT_NOT_ESTABLISHED = "condition-not-established"
@@ -156,67 +158,80 @@ def pick_generic_linear_form(H: PointSet, seed: int, ideal: Ideal | None = None)
 # --- local length by m-adic truncation ----------------------------------------------
 
 
-def _monomials_of_degree(ring, d):
-    out = []
-    nv = ring.nvars
-    def rec(i, left, prefix):
-        if i == nv - 1:
-            out.append(ring.monomial(prefix + (left,)))
-            return
-        for e in range(left, -1, -1):
-            rec(i + 1, left - e, prefix + (e,))
-    rec(0, d, ())
-    return out
+def _exponents_of_degree(nvars, d):
+    """Exponent tuples of total degree d, in descending lex order."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for e in range(d, -1, -1):
+        for rest in _exponents_of_degree(nvars - 1, d - e):
+            yield (e,) + rest
 
 
-def _truncated_colength(gens, ring, n):
-    """dim_K S/(J + m^N): lead monomials of a basis computed modulo degree > N
-    with the degree-N monomials among the generators, then a standard-monomial
-    count below degree N."""
+def _truncation_inputs(gens, ring, n):
+    """Generators of J + m^N as the truncated runs take them: every generator
+    cut below degree N, plus all monomials of degree N."""
     trunc = []
     for g in gens:
         items = {m: c for m, c in g.terms.items() if sum(m) < n}
         if items:
             trunc.append(Polynomial(ring, items))
-    trunc.extend(_monomials_of_degree(ring, n))
-    leads = lead_monomial_basis(trunc, truncate_degree=n)
-    count = 0
-    for mono in _exponents_below(ring.nvars, n):
-        if not any(mono_divides(lm, mono) for lm in leads):
-            count += 1
-    return count
+    trunc.extend(ring.monomial(e) for e in _exponents_of_degree(ring.nvars, n))
+    return trunc
 
 
-def _exponents_below(nvars, n):
-    if nvars == 2:
-        for a in range(n):
-            for b in range(n - a):
-                yield (a, b)
-        return
-    stack = [((), 0)]
-    while stack:
-        prefix, used = stack.pop()
-        if len(prefix) == nvars:
-            yield prefix
-            continue
-        for e in range(n - used):
-            stack.append((prefix + (e,), used + e))
+def _standard_count(leads, nvars, d):
+    """Number of degree-d monomials outside the monomial ideal the leads span."""
+    return sum(
+        1 for mono in _exponents_of_degree(nvars, d)
+        if not any(mono_divides(lm, mono) for lm in leads)
+    )
+
+
+def _local_standard_counts(gens, ring, n):
+    """Standard monomials of J + m^n under DS, counted by degree 0..n-1: the
+    colength of J + m^N for any N <= n is the sum of the first N counts."""
+    leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), order=DS,
+                                truncate_degree=n)
+    return [_standard_count(leads, ring.nvars, d) for d in range(n)]
+
+
+def _truncated_colength(gens, ring, n):
+    """dim_K S/(J + m^N) from one grevlex run; the reference the local-order
+    route is tested against."""
+    leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), truncate_degree=n)
+    return sum(_standard_count(leads, ring.nvars, d) for d in range(n))
 
 
 def local_length_at_origin(J: Ideal, cap: int, start: int = 2, target: int | None = None):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
-    Computes colengths of J + m^N along an increasing schedule; since they are
-    non-decreasing and eventually constant exactly when the local length is
-    finite, agreement of two consecutive values is a proof of exactness.  When
-    equality first shows up across a gap, the adjacent pair right after the
-    earlier point is recomputed so the certificate is always two consecutive
-    values.  Positive dimensional components through the origin are detected
-    up front via saturation and reported as INFINITE.
+    Returns ``(length, stable_at)``.  Positive dimensional components through
+    the origin are detected up front via saturation and reported as INFINITE.
+    Otherwise one standard basis of J + m^N' under the local order DS is
+    computed, with every term of degree > N' dropped (Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, 1.6-1.7; Mora's tangent
+    cone algorithm).  J + m^N' is m-primary, so the standard basis is finite
+    and its lead monomials span in(J + m^N').
 
-    ``target`` is a scheduling hint only (the expected length): the loop
-    approaches it with shrinking jumps and single steps beyond it.  It never
-    affects the returned value.
+    One run gives every colength up to N'.  Under a local degree order the
+    lead term of f lies among its lowest-degree terms, so for N <= N' an
+    element of J + m^N whose lead has degree < N agrees below degree N with
+    an element of J, and
+
+        in(J + m^N) = in(J + m^N')|_{deg < N} + m^N.
+
+    Hence colength(N) = dim S/(J + m^N) is the number of standard monomials
+    of degree below N.  If some degree d < N' has no standard monomial, then
+    colength(d) = colength(d+1), i.e. m^d lies in J + m^(d+1), and Nakayama's
+    lemma in the local ring gives m^d in J: the local length is colength(d).
+    The least such d is returned as the certificate pair (d, d+1), with
+    stable_at = d+1.  Without one, N' grows by a quarter (a char-0 run past
+    the stabilization degree is far dearer than one below it) up to ``cap``.
+
+    ``start`` and ``target`` (the expected length) only pick the first N':
+    a colength of ``target`` in two variables needs d(d+1)/2 >= target, so
+    N' starts one above the least such d.  They never affect the value.
     """
     ring = J.ring
     gens = [g for g in J.generators if not g.is_zero()]
@@ -234,35 +249,19 @@ def local_length_at_origin(J: Ideal, cap: int, start: int = 2, target: int | Non
             return INFINITE, None
     if cap < 3:
         raise InputError("the truncation cap must be at least 3")
-    n = max(2, min(start, cap - 1))
-    prev_n, prev_val = None, None
+    n = max(2, start)
+    if target is not None:
+        while (n - 1) * n // 2 < target:
+            n += 1
+    n = min(n, cap)
     while True:
-        val = _truncated_colength(gens, ring, n)
-        if prev_val is not None and val == prev_val:
-            if n == prev_n + 1:
-                return val, n
-            # colengths are monotone, so the value is flat on the whole gap;
-            # recompute the adjacent point to certify a consecutive pair
-            mid = _truncated_colength(gens, ring, prev_n + 1)
-            if mid != prev_val:
-                raise InvariantError("truncated colengths are not monotone")
-            return val, prev_n + 1
+        counts = _local_standard_counts(gens, ring, n)
+        if 0 in counts:
+            d = counts.index(0)
+            return sum(counts[:d]), d + 1
         if n >= cap:
             raise CapExceededError(f"no stabilization up to the cap N = {cap}")
-        if target is not None and val < target:
-            # extrapolate along the observed growth rate, never past doubling
-            gap = target - val
-            if prev_val is not None and val > prev_val:
-                slope = (val - prev_val) / (n - prev_n)
-                step = max(1, min(int(gap / slope), n))
-            else:
-                step = max(1, gap // (n + 1))
-        elif target is not None:
-            step = 1
-        else:
-            step = max(1, n // 3)
-        prev_n, prev_val = n, val
-        n = min(n + step, cap)
+        n = min(n + max(1, n // 4), cap)
 
 
 def default_cap(rhs: int) -> int:
@@ -385,10 +384,7 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
         J = Ideal([g for g in (xi1s, xi2s) if not g.is_zero()], ring=two_ring)
         if cap is None:
             cap = default_cap(rhs)
-        start = 2
-        while start * (start + 1) // 2 < rhs:
-            start += 1
-        lhs, stable_at = local_length_at_origin(J, cap, start=min(start, cap - 1), target=rhs)
+        lhs, stable_at = local_length_at_origin(J, cap, target=rhs)
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:
@@ -408,16 +404,22 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     Routes homogeneous pairs through the product check, everything else
     through the length check, which is repeated with a second seed and must
     agree.  A verified report certifies finite generation of the symbolic
-    Rees ring; a non-established one proves nothing either way.
+    Rees ring; a non-established one proves nothing either way.  Each stage is
+    timed where it runs; the confirmation seed's run is the one entry
+    ``timings_ms["confirmation"]``.
     """
     t_total = time.monotonic()
     H = config.points
     witnesses = config.witnesses
     ring = config.ring
+    stages = {}
+    t0 = time.monotonic()
     ideal = config.points_ideal()
+    stages["points_ideal"] = _ms(t0)
 
-    cache = PointPowerCache(ring)
-    memberships = membership_results(H, witnesses, ring, cache)
+    t0 = time.monotonic()
+    memberships = membership_results(H, witnesses, ring, PointPowerCache(ring))
+    stages["memberships"] = _ms(t0)
 
     if not all(m["member"] for m in memberships):
         report = VerificationReport(config.provenance, config.field.spec.to_json(), seed)
@@ -425,6 +427,7 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
         report.method = METHOD_HOMOGENEOUS if witnesses.both_homogeneous() else METHOD_LENGTH
         report.verdict = VERDICT_NOT_ESTABLISHED
         report.notes.append("a witness failed its symbolic-power membership")
+        report.timings_ms.update(stages)
         report.timings_ms["total"] = _ms(t_total)
         return report
 
@@ -434,8 +437,10 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     else:
         report = check_condition_by_length(H, witnesses, seed=seed, cap=cap, ideal=ideal,
                                            precomputed_memberships=memberships)
+        t0 = time.monotonic()
         second = check_condition_by_length(H, witnesses, seed=seed + 1, cap=cap, ideal=ideal,
                                            precomputed_memberships=memberships)
+        stages["confirmation"] = _ms(t0)
         if second.verdict != report.verdict:
             raise InvariantError("verdicts disagree across seeds")
         if report.verdict == VERDICT_VERIFIED and second.lengths["lhs"] != report.lengths["lhs"]:
@@ -457,5 +462,7 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
         report.notes.append("criterion verified: the symbolic Rees ring is finitely generated")
     else:
         report.notes.append("criterion not established by this witness pair (not a disproof)")
+    # the check functions only saw the precomputed stages; record where they ran
+    report.timings_ms.update(stages)
     report.timings_ms["total"] = _ms(t_total)
     return report

@@ -141,6 +141,21 @@ def test_criterion_3_fermat5_fast_mode_smallest_workable_prime():
     _report("criterion 3: fermat n=5 over F_31 fast mode, lhs = rhs = 700", t0)
 
 
+def test_criterion_3_fermat5_characteristic_zero():
+    # the n = 5 configuration over Q(zeta_5) itself, without reducing mod p
+    t0 = time.monotonic()
+    report = verify(fermat(5))
+    assert report.method == METHOD_LENGTH
+    assert report.lengths["lhs"] == report.lengths["rhs"] == 700 == 5 * 5 * 28
+    assert report.lengths["stable_at"] is not None
+    assert report.verdict == VERDICT_VERIFIED
+    assert report.confirmation["verdict"] == VERDICT_VERIFIED
+    assert report.confirmation["lhs"] == 700
+    elapsed = time.monotonic() - t0
+    assert elapsed < 600
+    _report("criterion 3: fermat n=5 over Q(zeta_5), lhs = rhs = 700", t0)
+
+
 # --- criterion 4: ten random non-collinear triples -----------------------------------------
 
 

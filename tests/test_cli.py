@@ -204,3 +204,16 @@ def test_load_custom_configuration_roundtrip():
     })
     assert len(cfg.points) == 6
     assert cfg.witnesses.r1 == 4
+
+
+def test_internal_error_maps_to_exit_four(monkeypatch, capsys):
+    import symrees.cli
+    from symrees.cli import EXIT_INTERNAL
+    from symrees.errors import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("verdicts disagree across seeds")
+
+    monkeypatch.setattr(symrees.cli, "verify", broken)
+    assert run(["verify-three-points"]) == EXIT_INTERNAL
+    assert "bug" in capsys.readouterr().err

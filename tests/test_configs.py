@@ -260,3 +260,13 @@ def test_witness_pair_validation():
         WitnessPair(R.zero(), 1, x, 1)
     with pytest.raises(Exception):
         WitnessPair(x, 0, y, 1)
+
+
+def test_iroot_is_exact_on_huge_integers():
+    from symrees.configs import _iroot
+
+    assert _iroot(10**400, 2) == 10**200
+    assert _iroot(10**400 + 1, 2) is None
+    assert _iroot(-(7**300), 3) == -(7**100)
+    assert _iroot(-4, 2) is None
+    assert [_iroot(a, 2) for a in range(10)] == [0, 1, None, None, 2, None, None, None, None, 3]

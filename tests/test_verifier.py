@@ -1,15 +1,21 @@
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import (
     CapExceededError,
     GenericityExhaustedError,
+    InputError,
     MembershipFailedError,
     NotHomogeneousError,
 )
 from symrees.fields import PrimeField, RationalField
 from symrees.ideals import INFINITE, Ideal
 from symrees.points import PointSet, ProjectivePoint, base_ring, points_ideal
+from symrees.polynomials import Polynomial
 from symrees.verifier import (
     METHOD_HOMOGENEOUS,
     METHOD_LENGTH,
@@ -251,6 +257,76 @@ def test_truncated_colengths_are_monotone_and_stay_flat():
     assert vals[-1] == 48
 
 
+def _local_colengths(gens, ring, n):
+    """Colengths of J + m^N for N = 1..n read off one local-order run."""
+    from symrees.verifier import _local_standard_counts
+
+    return list(accumulate(_local_standard_counts(gens, ring, n)))
+
+
+def _grevlex_colengths(gens, ring, n):
+    from symrees.verifier import _truncated_colength
+
+    return [_truncated_colength(gens, ring, m) for m in range(1, n + 1)]
+
+
+def test_local_order_colengths_match_grevlex_oracle():
+    from symrees.verifier import _eliminate_along
+
+    for cfg in (grid_example(2, 2), fermat(4, field=PrimeField(13, root_order=4))):
+        u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+        w = cfg.witnesses
+        xv = cfg.ring.var("x")
+        pairs = [
+            (w.xi1, w.xi2),          # the witness pair
+            (w.xi1 * xv, w.xi2),     # perturbed: lhs > rhs
+            (w.xi1, w.xi2 * w.xi2),  # product: twice the intersection number
+        ]
+        for f, g in pairs:
+            a, b = _eliminate_along(u, [f, g])
+            gens = [p for p in (a, b) if not p.is_zero()]
+            assert _local_colengths(gens, a.ring, 20) == _grevlex_colengths(gens, a.ring, 20)
+
+
+def _random_poly(ring, rnd, max_terms=4, max_deg=3, constant=True):
+    terms = {}
+    for _ in range(rnd.randint(1, max_terms)):
+        d = rnd.randint(0 if constant else 1, max_deg)
+        i = rnd.randint(0, d)
+        terms[(i, d - i)] = ring.field.from_int(rnd.randint(-4, 4))
+    return Polynomial.from_dict(ring, terms)
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, PrimeField(7)]))
+def test_local_order_colengths_random_pairs(rnd, field):
+    from symrees.polynomials import PolyRing
+
+    S2 = PolyRing(field, ("x", "y"))
+    f, g = _random_poly(S2, rnd), _random_poly(S2, rnd)
+    gens = [p for p in (f, g) if not p.is_zero()]
+    if gens:
+        assert _local_colengths(gens, S2, 12) == _grevlex_colengths(gens, S2, 12)
+    # a shared component through the origin makes the local length infinite
+    h = _random_poly(S2, rnd, max_terms=3, max_deg=2, constant=False)
+    if h.is_zero() or f.is_zero() or g.is_zero():
+        return
+    val, stable_at = local_length_at_origin(Ideal([f * h, g * h], ring=S2), cap=24)
+    assert val == INFINITE and stable_at is None
+
+
+def test_local_order_needs_truncation():
+    from symrees.groebner import lead_monomial_basis, normal_form
+    from symrees.polynomials import DS
+
+    with pytest.raises(InputError):
+        lead_monomial_basis([x - x**2, y], order=DS)
+    # untruncated division would rewrite x as x^2, x^3, ... for ever
+    with pytest.raises(InputError):
+        normal_form(x, [x - x**2], DS)
+    assert lead_monomial_basis([x - x**2, y], order=DS, truncate_degree=4) == ((0, 1, 0), (1, 0, 0))
+
+
 def test_length_check_same_witness_twice_is_infinite():
     cfg = grid_example(2, 2)
     w = cfg.witnesses
@@ -295,6 +371,16 @@ def test_verify_grid22_runs_second_seed():
     assert rep.confirmation is not None
     assert rep.confirmation["verdict"] == VERDICT_VERIFIED
     assert rep.confirmation["lhs"] == 48
+
+
+def test_verify_times_stages_and_confirmation():
+    rep = verify(grid_example(2, 2), seed=0)
+    timings = rep.timings_ms
+    for key in ("points_ideal", "memberships", "linear_form", "local_length", "confirmation"):
+        assert isinstance(timings[key], float)
+    # a flat name -> ms map whose stages fit inside the total
+    assert all(isinstance(v, float) for v in timings.values())
+    assert sum(v for k, v in timings.items() if k != "total") <= timings["total"] + 1.0
 
 
 def test_verify_seed_independence():

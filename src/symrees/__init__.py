@@ -18,7 +18,7 @@ from .groebner import (
     reduced_groebner_basis,
     s_polynomial,
 )
-from .ideals import INFINITE, Ideal, intersect_all, radical_membership
+from .ideals import INFINITE, Ideal, intersect_all
 from .parsing import parse_polynomial, parse_scalar
 from .points import (
     PointSet,
@@ -39,7 +39,6 @@ from .polynomials import (
     NegDegRevlexOrder,
     PolyRing,
     Polynomial,
-    compare_monomials,
 )
 from .configs import (
     Configuration,

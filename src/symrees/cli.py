@@ -3,8 +3,8 @@
 Subcommands construct a configuration, run the verification pipeline, print a
 human-readable summary to stdout, and optionally write the full report as
 JSON.  Exit codes: 0 condition verified, 1 condition not established,
-2 invalid input or parameters, 3 a computation budget ran out, 4 an internal
-consistency check failed (a bug).
+2 invalid input or parameters, 3 a computation budget ran out, 4 a bug (an
+internal consistency check failed, or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import lcm
 
 from .configs import (
     Configuration,
@@ -21,7 +22,7 @@ from .configs import (
     three_points,
     two_pencils,
 )
-from .errors import InputError, InvariantError, ResourceLimitError, SymreesError
+from .errors import InputError, ResourceLimitError
 from .fields import CyclotomicField, Field, FieldSpec, PrimeField, RationalField, make_field
 from .ideals import INFINITE
 from .parsing import parse_polynomial, parse_scalar
@@ -33,6 +34,8 @@ EXIT_NOT_ESTABLISHED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+DEFAULT_TRIANGLE = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,19 +84,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _field_for(args, default_root: int | None = None) -> Field | None:
-    """Field override from --char; None keeps each constructor's default."""
-    if args.char:
-        return PrimeField(args.char, root_order=default_root)
-    return None
-
-
 def _point_from_strings(field, coords):
     return ProjectivePoint(field, [parse_scalar(c, field) for c in coords])
 
 
 def load_configuration(obj, char: int = 0) -> Configuration:
-    """Build a configuration from its JSON description."""
+    """Build a configuration from its JSON description.
+
+    Malformed values surface here as ValueError, KeyError or TypeError; they
+    are reported as InputError, and nowhere else are those three taken for
+    bad input.
+    """
+    if not isinstance(obj, dict):
+        raise InputError("a configuration must be a JSON object")
+    try:
+        return _build_configuration(obj, char)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _build_configuration(obj, char: int) -> Configuration:
     kind = obj.get("kind")
     if kind == "fermat":
         n = int(obj["n"])
@@ -109,9 +119,7 @@ def load_configuration(obj, char: int = 0) -> Configuration:
         m, n = int(obj["m"]), int(obj["n"])
         field = None
         if char:
-            from math import gcd
-
-            field = PrimeField(char, root_order=m * n // gcd(m, n))
+            field = PrimeField(char, root_order=lcm(m, n))
         elif "field" in obj:
             field = make_field(FieldSpec.from_json(obj["field"]))
         return grid_example(m, n, field=field)
@@ -150,12 +158,6 @@ def _json_field(obj, char: int) -> Field:
     if "field" in obj:
         return make_field(FieldSpec.from_json(obj["field"]))
     return RationalField()
-
-
-def _default_three_points(char: int) -> Configuration:
-    field = PrimeField(char) if char else RationalField()
-    pts = [ProjectivePoint(field, c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-    return three_points(*pts)
 
 
 def _print_report(report):
@@ -208,61 +210,58 @@ def _emit_json(report, args):
         fh.write(payload)
 
 
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError
+            raise InputError(str(exc)) from exc
+
+
+def _command_configuration(args) -> Configuration:
+    """The configuration a subcommand names, always built by load_configuration."""
+    if args.command == "verify-fermat":
+        obj = {"kind": "fermat", "n": args.n, "alpha": args.alpha}
+    elif args.command == "verify-grid":
+        obj = {"kind": "grid", "m": args.m, "n": args.n}
+    elif args.command == "verify-three-points":
+        obj = _read_json(args.input) if args.input else {"points": DEFAULT_TRIANGLE}
+        if isinstance(obj, dict) and obj.get("kind") is None:
+            obj = {**obj, "kind": "three-points"}
+    else:
+        obj = _read_json(args.input)
+    return load_configuration(obj, char=args.char)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.json and not args.out:
             raise InputError("--json needs --out <path> for the report file")
-        if args.command == "verify-fermat":
-            field = _field_for(args, default_root=args.n)
-            alpha = None
-            if args.alpha is not None:
-                probe = field if field is not None else CyclotomicField(args.n)
-                alpha = parse_scalar(args.alpha, probe)
-            cfg = fermat(args.n, alpha=alpha, field=field)
-        elif args.command == "verify-grid":
-            from math import gcd
-
-            field = _field_for(args, default_root=args.m * args.n // gcd(args.m, args.n))
-            cfg = grid_example(args.m, args.n, field=field)
-        elif args.command == "verify-three-points":
-            if args.input:
-                with open(args.input) as fh:
-                    obj = json.load(fh)
-                if obj.get("kind") is None:
-                    obj = {"kind": "three-points", **obj}
-                cfg = load_configuration(obj, char=args.char)
-            else:
-                cfg = _default_three_points(args.char)
-        elif args.command == "verify-custom":
-            with open(args.input) as fh:
-                obj = json.load(fh)
-            cfg = load_configuration(obj, char=args.char)
-        elif args.command in ("symbolic-power", "show-config"):
-            with open(args.input) as fh:
-                obj = json.load(fh)
-            cfg = load_configuration(obj, char=args.char)
-            if args.command == "show-config":
-                print(json.dumps(_config_json(cfg), indent=2, sort_keys=True))
-                return EXIT_VERIFIED
+        cfg = _command_configuration(args)
+        if args.command == "show-config":
+            print(json.dumps(_config_json(cfg), indent=2, sort_keys=True))
+            return EXIT_VERIFIED
+        if args.command == "symbolic-power":
             return _run_symbolic_power(cfg, args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InputError(f"unknown command {args.command}")
-
         report = verify(cfg, seed=args.seed, cap=args.cap)
         _print_report(report)
         _emit_json(report, args)
         return EXIT_VERIFIED if report.verdict == VERDICT_VERIFIED else EXIT_NOT_ESTABLISHED
-    except InvariantError as exc:
-        print(f"internal error, this is a bug in symrees: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SymreesError, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # InvariantError, or any other failure of the program itself
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        print(f"internal error, this is a bug in symrees: {type(exc).__name__}: {exc}"
+              f" (at {tb.tb_frame.f_code.co_filename}:{tb.tb_lineno})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _config_json(cfg: Configuration):

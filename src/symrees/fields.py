@@ -205,9 +205,6 @@ class Field:
     def scalar_needs_parens(self, a) -> bool:
         return False
 
-    def scalar_is_negative(self, a) -> bool:
-        return False
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
 
@@ -286,9 +283,6 @@ class RationalField(Field):
 
     def scalar_str(self, a):
         return str(a)
-
-    def scalar_is_negative(self, a):
-        return a < 0
 
     def __repr__(self):
         return "Q"
@@ -453,10 +447,6 @@ class CyclotomicField(Field):
 
     def scalar_needs_parens(self, a):
         return sum(1 for c in a if c != 0) > 1
-
-    def scalar_is_negative(self, a):
-        nz = [c for c in a if c != 0]
-        return len(nz) == 1 and nz[0] < 0
 
     def __repr__(self):
         return f"Q(zeta_{self.n})"

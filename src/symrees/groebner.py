@@ -6,6 +6,13 @@ built once per monomial.  Coefficient growth over Q and Q(zeta_n) is tamed by
 rescaling every new basis element to integer content 1; prime-field runs make
 elements monic instead.
 
+One division loop, ``_reduce``, serves S-pair reduction, interreduction and
+the normal forms.  Against a reducer whose lead coefficient is not one it
+cross-multiplies rather than divides, which leaves the remainder right up to
+a nonzero scalar and keeps char-0 coefficients integral.  The normal forms
+make their divisors monic first, so there it never scales and returns the
+exact remainder.
+
 ``truncate_degree=N`` silently drops every term of total degree > N.  That is
 only sound when the generators include all monomials of degree exactly N (the
 drop is then an exact division step against one of them), which is how the
@@ -32,30 +39,19 @@ from .polynomials import (
 class GroebnerBasis:
     """A reduced Groebner basis: monic, interreduced, sorted by lead monomial."""
 
-    __slots__ = ("ring", "order", "polynomials", "lead_monomials", "source")
+    __slots__ = ("ring", "order", "polynomials", "lead_monomials")
 
-    def __init__(self, ring, order, polynomials, source=()):
+    def __init__(self, ring, order, polynomials):
         self.ring = ring
         self.order = order
         self.polynomials = tuple(polynomials)
         self.lead_monomials = tuple(p.lead_term(order)[0] for p in self.polynomials)
-        self.source = tuple(source)
 
     def __iter__(self):
         return iter(self.polynomials)
 
     def __len__(self):
         return len(self.polynomials)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.order == other.order
-            and self.polynomials == other.polynomials
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.polynomials))
 
     def is_unit(self):
         return len(self.polynomials) == 1 and self.polynomials[0].is_constant()
@@ -136,14 +132,19 @@ def _check_order(order, cap=None):
         raise InputError(f"the local order {order!r} needs a truncate_degree")
 
 
-def _reduce_scaled(terms, reducers, field, key, cap=None):
-    """Normal form up to a nonzero scalar, avoiding coefficient-field division.
+def _reduce(terms, reducers, field, key, cap=None, events=None):
+    """Normal form of a descending term list against prepared reducers.
 
-    Instead of dividing by a reducer's lead coefficient, the partial remainder
-    is multiplied by it (cross-multiplication), so rational and cyclotomic
-    runs stay in integer coordinates throughout.  Content is stripped every
-    few scaling steps to keep the integers small.  Only usable where the
-    result matters up to a scalar: S-polynomial reduction and interreduction.
+    ``reducers`` holds triples (lead_mono, lead_coeff, term_list).  A term is
+    cancelled by cross-multiplication: when the reducer's lead coefficient is
+    not one, the partial remainder and the rest of the work list are
+    multiplied by it instead of dividing by it, so rational and cyclotomic
+    runs stay in integer coordinates (content is stripped every 8 scalings).
+    The result is then the normal form up to a nonzero scalar, which is all
+    S-polynomial reduction and interreduction need.  Against monic reducers
+    nothing is scaled and the result is the exact remainder; only then may
+    ``events`` be a list, which records every division step as
+    (reducer_index, shift, factor) so quotients can be reconstructed.
     """
     rem = []
     work = terms
@@ -170,6 +171,8 @@ def _reduce_scaled(terms, reducers, field, key, cap=None):
             start += 1
             continue
         lm, lc, gterms = reducers[hit]
+        if events is not None:
+            events.append((hit, tuple(x - y for x, y in zip(m, lm)), c))
         if len(gterms) == 1:
             start += 1  # the term is a multiple of a monomial generator: it just dies
             continue
@@ -187,51 +190,6 @@ def _reduce_scaled(terms, reducers, field, key, cap=None):
             combined = field.rescale_terms(rem + work)
             rem = combined[: len(rem)]
             work = combined[len(rem):]
-    if char0 and rem:
-        rem = field.rescale_terms(rem)
-    return rem
-
-
-def _reduce_terms(terms, reducers, field, key, cap=None, events=None):
-    """Full normal form of a descending term list against prepared reducers.
-
-    ``reducers`` holds triples (lead_mono, lead_coeff, term_list).  With
-    ``events`` a list, every division step is recorded as
-    (reducer_index, shift, factor) so quotients can be reconstructed.
-    """
-    rem = []
-    work = terms
-    i = 0
-    div, neg = field.div, field.neg
-    while i < len(work):
-        m, c = work[i]
-        hit = -1
-        for idx, red in enumerate(reducers):
-            lm = red[0]
-            ok = True
-            for x, y in zip(lm, m):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                hit = idx
-                break
-        if hit < 0:
-            rem.append(work[i])
-            i += 1
-            continue
-        lm, lc, gterms = reducers[hit]
-        factor = div(c, lc)
-        shift = tuple(x - y for x, y in zip(m, lm))
-        if events is not None:
-            events.append((hit, shift, factor))
-        if len(gterms) == 1:
-            # reducing by a monomial just deletes the term
-            work = work[:i] + work[i + 1:]
-            continue
-        sub = _shifted(gterms[1:], shift, key, cap, scale=neg(factor), field=field)
-        work = _merge(work[i + 1:], sub, field, key)
-        i = 0
     return rem
 
 
@@ -251,48 +209,49 @@ def s_polynomial(f, g, order=GREVLEX):
     return mf * f - mg * g
 
 
-def _as_polys(basis):
+def _monic_reducers(basis, order):
+    """Division setup shared by the normal forms: the divisors validated, the
+    order taken from a ``GroebnerBasis``, and each divisor made monic so that
+    ``_reduce`` never scales.  Returns (key, reducers, inverses), where
+    inverses[i] is 1/lc of the i-th divisor, or None when it was monic."""
+    polys = basis.polynomials if isinstance(basis, GroebnerBasis) else list(basis)
+    if not polys:
+        raise InputError("division needs a nonempty basis")
+    if any(p.is_zero() for p in polys):
+        raise ZeroPolynomialError("division by a zero polynomial")
     if isinstance(basis, GroebnerBasis):
-        return list(basis.polynomials)
-    return list(basis)
+        order = basis.order
+    _check_order(order)
+    field = polys[0].ring.field
+    one, mul = field.one, field.mul
+    key = _key_cache(order)
+    reducers, inverses = [], []
+    for p in polys:
+        items = _prepare(p, key)
+        inv = None
+        if items[0][1] != one:
+            inv = field.inv(items[0][1])
+            items = [(m, mul(c, inv)) for m, c in items]
+        reducers.append((items[0][0], one, items))
+        inverses.append(inv)
+    return key, reducers, inverses
 
 
 def normal_form(f, basis, order=GREVLEX):
     """Remainder of full multivariate division of f by the basis."""
-    polys = _as_polys(basis)
-    if not polys:
-        raise InputError("normal form needs a nonempty basis")
-    if any(p.is_zero() for p in polys):
-        raise ZeroPolynomialError("normal form against a zero polynomial")
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order
-    _check_order(order)
-    ring = f.ring
-    key = _key_cache(order)
-    reducers = []
-    for p in polys:
-        items = _prepare(p, key)
-        reducers.append((items[0][0], items[0][1], items))
-    rem = _reduce_terms(_prepare(f, key), reducers, ring.field, key)
-    return Polynomial(ring, dict(rem))
+    key, reducers, _ = _monic_reducers(basis, order)
+    rem = _reduce(_prepare(f, key), reducers, f.ring.field, key)
+    return Polynomial(f.ring, dict(rem))
 
 
 def normal_form_with_quotients(f, basis, order=GREVLEX):
     """(quotients, remainder) with f = sum(q_i * g_i) + remainder."""
-    polys = _as_polys(basis)
-    if not polys or any(p.is_zero() for p in polys):
-        raise InputError("division needs nonzero divisors")
-    _check_order(order)
+    key, reducers, inverses = _monic_reducers(basis, order)
     ring = f.ring
     field = ring.field
-    key = _key_cache(order)
-    reducers = []
-    for p in polys:
-        items = _prepare(p, key)
-        reducers.append((items[0][0], items[0][1], items))
     events = []
-    rem = _reduce_terms(_prepare(f, key), reducers, field, key, events=events)
-    quots = [dict() for _ in polys]
+    rem = _reduce(_prepare(f, key), reducers, field, key, events=events)
+    quots = [dict() for _ in reducers]
     for idx, shift, factor in events:
         q = quots[idx]
         if shift in q:
@@ -303,6 +262,11 @@ def normal_form_with_quotients(f, basis, order=GREVLEX):
                 q[shift] = s
         else:
             q[shift] = factor
+    # the recorded steps divided by g_i / lc_i, not by g_i
+    for q, inv in zip(quots, inverses):
+        if inv is not None:
+            for shift in q:
+                q[shift] = field.mul(q[shift], inv)
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, dict(rem))
 
 
@@ -412,7 +376,7 @@ def _completed_basis(generators, order, cap):
             left = _shifted(ti, ui, key, cap, scale=lcj, field=field)
         right = _shifted(tj, uj, key, cap, scale=field.neg(lci), field=field)
         s = _merge(left, right, field, key)
-        rem = _reduce_scaled(s, basis, field, key, cap)
+        rem = _reduce(s, basis, field, key, cap)
         if rem:
             add_element(_normalize_element(rem, field))
     return ring, field, key, basis
@@ -454,7 +418,7 @@ def reduced_groebner_basis(generators, order=GREVLEX, truncate_degree=None):
         for idx in range(len(minimal)):
             items = minimal[idx][2]
             others = minimal[:idx] + minimal[idx + 1:]
-            red = _reduce_scaled(items, others, field, key, cap)
+            red = _reduce(items, others, field, key, cap)
             if red != items:
                 red = _normalize_element(red, field)
                 minimal[idx] = (red[0][0], red[0][1], red)
@@ -469,4 +433,4 @@ def reduced_groebner_basis(generators, order=GREVLEX, truncate_degree=None):
             items = [(m, mul(c, inv)) for m, c in items]
         final.append(Polynomial(ring, dict(items)))
     final.sort(key=lambda p: key(p.lead_term(order)[0]))
-    return GroebnerBasis(ring, order, final, source=generators)
+    return GroebnerBasis(ring, order, final)

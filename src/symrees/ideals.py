@@ -1,9 +1,8 @@
 """Ideal-level operations: intersection, quotient, saturation, powers, dimension,
-colength, Hilbert multiplicity, and radical membership.
+colength and Hilbert multiplicity.
 
 Everything runs through reduced Groebner bases.  Intersections use one
-auxiliary variable and a block order; radical membership uses the classical
-extended-ring trick (1 lies in I + (1 - s*f) iff f is in the radical of I).
+auxiliary variable and a block order.
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ class Ideal:
         if self.ring != other.ring:
             return False
         return self.groebner().polynomials == other.groebner().polynomials
-
-    def __le__(self, other):
-        """Containment self <= other."""
-        return all(other.contains(g) for g in self.generators)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators[:4])
@@ -209,19 +204,6 @@ class Ideal:
             raise WrongDimensionError("non-positive multiplicity")
         return e
 
-    def radical_contains(self, f) -> bool:
-        """True iff some power of f lies in the ideal."""
-        if f.is_zero():
-            return True
-        ring = self.ring
-        name = ring.fresh_variable_name("s")
-        ext = ring.extend(name)
-        s = ext.var(name)
-        gens = [g.lift(ext) for g in self.generators]
-        gens.append(ext.one() - s * f.lift(ext))
-        gb = reduced_groebner_basis(gens, GREVLEX)
-        return gb.is_unit()
-
 
 def intersect_all(ideals) -> Ideal:
     """Left-to-right pairwise intersection, in input order."""
@@ -232,10 +214,6 @@ def intersect_all(ideals) -> Ideal:
     for nxt in ideals[1:]:
         acc = acc.intersect(nxt)
     return acc
-
-
-def radical_membership(f, ideal: Ideal) -> bool:
-    return ideal.radical_contains(f)
 
 
 def _minimalize(monos):

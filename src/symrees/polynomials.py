@@ -18,14 +18,6 @@ from .errors import (
 
 # --- monomial helpers ---------------------------------------------------------
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_divides(a, b):
     """True when a divides b."""
     for x, y in zip(a, b):
@@ -97,27 +89,25 @@ class LexOrder(MonomialOrder):
 class BlockOrder(MonomialOrder):
     """Elimination order: the trailing ``n_elim`` variables dominate.
 
-    The elimination block is compared grevlex among itself, the remaining
-    variables by ``inner``.  Any monomial involving an elimination variable is
-    larger than every monomial free of them, which is what makes a reduced
-    basis split off the eliminated part.
+    Both blocks are compared grevlex among themselves.  Any monomial
+    involving an elimination variable is larger than every monomial free of
+    them, which is what makes a reduced basis split off the eliminated part.
     """
 
     kind = "block"
 
-    def __init__(self, n_elim=1, inner=None):
+    def __init__(self, n_elim=1):
         if n_elim < 1:
             raise InputError("block order needs at least one elimination variable")
         self.n_elim = n_elim
-        self.inner = inner if inner is not None else GREVLEX
 
     def key(self, expo):
         k = len(expo) - self.n_elim
         head, tail = expo[:k], expo[k:]
-        return (GREVLEX.key(tail), self.inner.key(head))
+        return (GREVLEX.key(tail), GREVLEX.key(head))
 
     def __repr__(self):
-        return f"block({self.n_elim}, {self.inner!r})"
+        return f"block({self.n_elim})"
 
 
 class NegDegRevlexOrder(MonomialOrder):
@@ -135,11 +125,6 @@ class NegDegRevlexOrder(MonomialOrder):
 GREVLEX = GrevlexOrder()
 LEX = LexOrder()
 DS = NegDegRevlexOrder()
-
-
-def compare_monomials(order, a, b):
-    """-1, 0 or 1 as a <, =, > b under the given order."""
-    return order.compare(a, b)
 
 
 # --- rings and polynomials -------------------------------------------------------
@@ -372,9 +357,6 @@ class Polynomial:
         key = order.key
         m = max(self.terms, key=key)
         return m, self.terms[m]
-
-    def coefficient_of(self, expo):
-        return self.terms.get(tuple(expo), self.ring.field.zero)
 
     def substitute(self, var, value):
         """Replace ``var`` by the polynomial ``value`` (which must not involve it)."""

@@ -203,7 +203,7 @@ def _truncated_colength(gens, ring, n):
     return sum(_standard_count(leads, ring.nvars, d) for d in range(n))
 
 
-def local_length_at_origin(J: Ideal, cap: int, start: int = 2, target: int | None = None):
+def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
     Returns ``(length, stable_at)``.  Positive dimensional components through
@@ -229,9 +229,9 @@ def local_length_at_origin(J: Ideal, cap: int, start: int = 2, target: int | Non
     stable_at = d+1.  Without one, N' grows by a quarter (a char-0 run past
     the stabilization degree is far dearer than one below it) up to ``cap``.
 
-    ``start`` and ``target`` (the expected length) only pick the first N':
-    a colength of ``target`` in two variables needs d(d+1)/2 >= target, so
-    N' starts one above the least such d.  They never affect the value.
+    ``target`` (the expected length) only picks the first N': a colength of
+    ``target`` in two variables needs d(d+1)/2 >= target, so N' starts one
+    above the least such d.  It never affects the value.
     """
     ring = J.ring
     gens = [g for g in J.generators if not g.is_zero()]
@@ -249,7 +249,7 @@ def local_length_at_origin(J: Ideal, cap: int, start: int = 2, target: int | Non
             return INFINITE, None
     if cap < 3:
         raise InputError("the truncation cap must be at least 3")
-    n = max(2, start)
+    n = 2
     if target is not None:
         while (n - 1) * n // 2 < target:
             n += 1

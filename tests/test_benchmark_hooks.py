@@ -1,0 +1,33 @@
+"""The benchmark's tracer wraps symrees at its import sites by name; a rename
+under src/ must fail here rather than only when the benchmark runs."""
+
+import pathlib
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    t = Tracer()
+    yield t
+    t.restore()
+
+
+def test_tracer_installs_and_restores(tracer):
+    import symrees.cli
+    import symrees.groebner
+    import symrees.verifier
+
+    originals = (symrees.verifier.verify, symrees.groebner.normal_form, symrees.cli.run)
+    tracer.install()
+    assert symrees.verifier.verify is not originals[0]
+    assert symrees.cli.run(["verify-three-points"]) == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.run", "configs.build", "verifier.verify", "groebner.normal_form"} <= names
+    tracer.restore()
+    assert (symrees.verifier.verify, symrees.groebner.normal_form, symrees.cli.run) == originals

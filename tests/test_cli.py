@@ -174,6 +174,11 @@ def test_bad_json_kind(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"kind": "mystery"}))
     assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR
+    cfgfile.write_text(json.dumps([["1", "0", "0"]]))  # not an object
+    assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR
+    assert run(["verify-three-points", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR
+    cfgfile.write_text("{not json")
+    assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR
 
 
 def test_malformed_config_missing_keys(tmp_path):
@@ -207,13 +212,16 @@ def test_load_custom_configuration_roundtrip():
 
 
 def test_internal_error_maps_to_exit_four(monkeypatch, capsys):
+    # ValueError, KeyError and TypeError mean bad input only while the JSON
+    # is read and loaded; raised anywhere else they are a bug, like InvariantError
     import symrees.cli
     from symrees.cli import EXIT_INTERNAL
     from symrees.errors import InvariantError
 
-    def broken(*args, **kwargs):
-        raise InvariantError("verdicts disagree across seeds")
+    for exc in (InvariantError("verdicts disagree across seeds"), ValueError("not an input problem")):
+        def broken(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(symrees.cli, "verify", broken)
-    assert run(["verify-three-points"]) == EXIT_INTERNAL
-    assert "bug" in capsys.readouterr().err
+        monkeypatch.setattr(symrees.cli, "verify", broken)
+        assert run(["verify-three-points"]) == EXIT_INTERNAL
+        assert "bug" in capsys.readouterr().err

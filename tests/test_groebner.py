@@ -140,7 +140,7 @@ def test_permutation_invariance(rnd):
 @settings(max_examples=30)
 @given(st.randoms(use_true_random=False))
 def test_division_round_trip(rnd):
-    for field in (Q, CyclotomicField(4)):
+    for field in (Q, CyclotomicField(4), PrimeField(13)):
         ring = PolyRing(field, ("x", "y"))
         polys = _random_polys(ring, rnd, count=2)
         f = _random_polys(ring, rnd, count=1, max_terms=4)
@@ -152,6 +152,7 @@ def test_division_round_trip(rnd):
         for q, g in zip(quots, polys):
             recombined = recombined + q * g
         assert recombined == f
+        assert normal_form(f, polys) == rem
         # no remainder term is divisible by any lead monomial
         leads = [p.lead_term(GREVLEX)[0] for p in polys]
         for m in rem.terms:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from symrees.errors import NotHomogeneousError, WrongDimensionError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
-from symrees.ideals import INFINITE, Ideal, intersect_all, radical_membership
+from symrees.ideals import INFINITE, Ideal, intersect_all
 from symrees.polynomials import PolyRing, Polynomial
 
 Q = RationalField()
@@ -88,14 +88,12 @@ def test_multiplicity_matches_point_count_small():
     assert I.hilbert_multiplicity() == 4
 
 
-def test_radical_membership_examples():
-    assert Ideal([x**2]).radical_contains(x)
-    assert not Ideal([x, y]).radical_contains(z)
-    assert radical_membership(x * y, Ideal([x**3 * y**2]))
-    # every generator is in the radical of the ideal itself
-    I = Ideal([x * y - z**2, x**2 - y * z])
-    for g in I.generators:
-        assert I.radical_contains(g)
+def _in_radical(I, f):
+    """Rabinowitsch: f lies in the radical of I iff 1 lies in I + (1 - s*f)."""
+    ext = I.ring.extend("s")
+    s = ext.var("s")
+    gens = [g.lift(ext) for g in I.generators] + [ext.one() - s * f.lift(ext)]
+    return Ideal(gens, ring=ext).is_unit()
 
 
 def test_radical_equality_for_the_two_pencil_witnesses():
@@ -106,7 +104,7 @@ def test_radical_equality_for_the_two_pencil_witnesses():
     cfg = grid_example(2, 2)
     J = Ideal([cfg.witnesses.xi1, cfg.witnesses.xi2], ring=cfg.ring)
     for g in cfg.points_ideal().generators:
-        assert J.radical_contains(g)
+        assert _in_radical(J, g)
 
 
 def test_radical_equality_for_fermat4_holds_only_locally():
@@ -120,7 +118,7 @@ def test_radical_equality_for_fermat4_holds_only_locally():
     cfg = fermat(4, field=PrimeField(13, root_order=4))
     J = Ideal([cfg.witnesses.xi1, cfg.witnesses.xi2], ring=cfg.ring)
     gens = cfg.points_ideal().generators
-    assert not all(J.radical_contains(g) for g in gens)
+    assert not all(_in_radical(J, g) for g in gens)
     for g in gens:
         sat = J.saturation(Ideal([g], ring=cfg.ring))
         assert sat.is_unit() or any(
@@ -209,14 +207,3 @@ def test_finite_colength_iff_dimension_zero(rnd):
     dim = I.krull_dimension()
     vs = I.vector_space_dimension()
     assert (vs != INFINITE) == (dim <= 0)
-
-
-@settings(max_examples=20)
-@given(st.randoms(use_true_random=False))
-def test_generators_lie_in_radical(rnd):
-    ring = PolyRing(PrimeField(13), ("x", "y"))
-    I = _random_ideal(ring, rnd)
-    if I is None:
-        return
-    for g in I.generators:
-        assert I.radical_contains(g)

@@ -140,3 +140,31 @@ def test_cyclotomic_grid_points():
     f = S.var("y") ** 3 - S.var("z") ** 3
     g = S.var("z") ** 3 - S.var("x") ** 3
     assert points_ideal(H, S) == Ideal([f, g])
+
+
+def test_membership_normal_forms_invert_no_scalar():
+    # the bases of I_P^r are monic, so division by them needs no field
+    # inverse; over Q(zeta_4) each one is an extended-Euclid run.  The bases
+    # are built first: making a reduced basis monic does invert.
+    from symrees.configs import fermat
+
+    cfg = fermat(4)
+    w = cfg.witnesses
+    cache = PointPowerCache(cfg.ring)
+    for xi, r in ((w.xi1, w.r1), (w.xi2, w.r2)):
+        assert symbolic_power_membership(xi, cfg.points, r, cache)
+    field = cfg.field
+    calls = []
+    inv = field.inv
+
+    def counted(a):
+        calls.append(a)
+        return inv(a)
+
+    field.inv = counted
+    try:
+        for xi, r in ((w.xi1, w.r1), (w.xi2, w.r2)):
+            assert symbolic_power_membership(xi, cfg.points, r, cache)
+    finally:
+        del field.inv
+    assert calls == []

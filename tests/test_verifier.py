@@ -142,7 +142,7 @@ def test_local_length_cap_exceeded():
     S2 = PolyRing(Q, ("x", "y"))
     a, b = S2.var("x"), S2.var("y")
     with pytest.raises(CapExceededError):
-        local_length_at_origin(Ideal([a**2, a * b, b**3], ring=S2), cap=3, start=2)
+        local_length_at_origin(Ideal([a**2, a * b, b**3], ring=S2), cap=3)
 
 
 def test_default_cap_monotone_and_bounded():

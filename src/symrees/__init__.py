@@ -14,7 +14,6 @@ from .fields import (
 from .groebner import (
     GroebnerBasis,
     normal_form,
-    normal_form_with_quotients,
     reduced_groebner_basis,
     s_polynomial,
 )

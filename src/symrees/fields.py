@@ -222,18 +222,25 @@ def _num_den(x):
 
 
 def _int_content_scale(values):
-    """(L, g) so that v -> v * L / g maps all values to integers with gcd 1."""
+    """(L, g) so that v -> v * L / g maps all values to plain ints with gcd 1,
+    or None when they already are.  A Fraction with denominator 1 still needs
+    the map: left in place it would keep every later operation in Fraction
+    arithmetic."""
     lden = 1
+    fractions = False
     for v in values:
         if isinstance(v, Fraction):
+            fractions = True
             d = v.denominator
             lden = lden * d // gcd(lden, d)
     g = 0
     for v in values:
         n, d = _num_den(v)
         g = gcd(g, n * (lden // d))
-        if g == 1 and lden == 1:
-            return 1, 1
+        if g == 1 and not fractions:
+            return None
+    if not (g or fractions):
+        return None
     return lden, (g or 1)
 
 
@@ -272,9 +279,10 @@ class RationalField(Field):
         raise MissingRootsError(f"Q contains no primitive {k}-th root of unity")
 
     def rescale_terms(self, items):
-        lden, g = _int_content_scale([c for _, c in items])
-        if lden == 1 and g == 1:
+        scale = _int_content_scale([c for _, c in items])
+        if scale is None:
             return items
+        lden, g = scale
         out = []
         for m, c in items:
             n, d = _num_den(c)
@@ -410,9 +418,10 @@ class CyclotomicField(Field):
 
     def rescale_terms(self, items):
         coords = [x for _, c in items for x in c]
-        lden, g = _int_content_scale(coords)
-        if lden == 1 and g == 1:
+        scale = _int_content_scale(coords)
+        if scale is None:
             return items
+        lden, g = scale
         out = []
         for m, c in items:
             vec = []

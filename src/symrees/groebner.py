@@ -7,11 +7,12 @@ rescaling every new basis element to integer content 1; prime-field runs make
 elements monic instead.
 
 One division loop, ``_reduce``, serves S-pair reduction, interreduction and
-the normal forms.  Against a reducer whose lead coefficient is not one it
-cross-multiplies rather than divides, which leaves the remainder right up to
-a nonzero scalar and keeps char-0 coefficients integral.  The normal forms
-make their divisors monic first, so there it never scales and returns the
-exact remainder.
+``normal_form``.  It returns only the remainder; no caller needs quotients
+(saturation is an elimination, see ``ideals``).  Against a reducer whose lead
+coefficient is not one it cross-multiplies rather than divides, which leaves
+the remainder right up to a nonzero scalar and keeps char-0 coefficients
+integral.  ``normal_form`` makes its divisors monic first, so there it never
+scales and returns the exact remainder.
 
 ``truncate_degree=N`` silently drops every term of total degree > N.  That is
 only sound when the generators include all monomials of degree exactly N (the
@@ -132,7 +133,7 @@ def _check_order(order, cap=None):
         raise InputError(f"the local order {order!r} needs a truncate_degree")
 
 
-def _reduce(terms, reducers, field, key, cap=None, events=None):
+def _reduce(terms, reducers, field, key, cap=None):
     """Normal form of a descending term list against prepared reducers.
 
     ``reducers`` holds triples (lead_mono, lead_coeff, term_list).  A term is
@@ -142,9 +143,7 @@ def _reduce(terms, reducers, field, key, cap=None, events=None):
     runs stay in integer coordinates (content is stripped every 8 scalings).
     The result is then the normal form up to a nonzero scalar, which is all
     S-polynomial reduction and interreduction need.  Against monic reducers
-    nothing is scaled and the result is the exact remainder; only then may
-    ``events`` be a list, which records every division step as
-    (reducer_index, shift, factor) so quotients can be reconstructed.
+    nothing is scaled and the result is the exact remainder.
     """
     rem = []
     work = terms
@@ -171,8 +170,6 @@ def _reduce(terms, reducers, field, key, cap=None, events=None):
             start += 1
             continue
         lm, lc, gterms = reducers[hit]
-        if events is not None:
-            events.append((hit, tuple(x - y for x, y in zip(m, lm)), c))
         if len(gterms) == 1:
             start += 1  # the term is a multiple of a monomial generator: it just dies
             continue
@@ -209,11 +206,11 @@ def s_polynomial(f, g, order=GREVLEX):
     return mf * f - mg * g
 
 
-def _monic_reducers(basis, order):
-    """Division setup shared by the normal forms: the divisors validated, the
-    order taken from a ``GroebnerBasis``, and each divisor made monic so that
-    ``_reduce`` never scales.  Returns (key, reducers, inverses), where
-    inverses[i] is 1/lc of the i-th divisor, or None when it was monic."""
+def normal_form(f, basis, order=GREVLEX):
+    """Remainder of full multivariate division of f by the basis.
+
+    The order is taken from a ``GroebnerBasis``; each divisor is made monic,
+    so ``_reduce`` never scales and the remainder is exact."""
     polys = basis.polynomials if isinstance(basis, GroebnerBasis) else list(basis)
     if not polys:
         raise InputError("division needs a nonempty basis")
@@ -225,59 +222,15 @@ def _monic_reducers(basis, order):
     field = polys[0].ring.field
     one, mul = field.one, field.mul
     key = _key_cache(order)
-    reducers, inverses = [], []
+    reducers = []
     for p in polys:
         items = _prepare(p, key)
-        inv = None
         if items[0][1] != one:
             inv = field.inv(items[0][1])
             items = [(m, mul(c, inv)) for m, c in items]
         reducers.append((items[0][0], one, items))
-        inverses.append(inv)
-    return key, reducers, inverses
-
-
-def normal_form(f, basis, order=GREVLEX):
-    """Remainder of full multivariate division of f by the basis."""
-    key, reducers, _ = _monic_reducers(basis, order)
-    rem = _reduce(_prepare(f, key), reducers, f.ring.field, key)
+    rem = _reduce(_prepare(f, key), reducers, field, key)
     return Polynomial(f.ring, dict(rem))
-
-
-def normal_form_with_quotients(f, basis, order=GREVLEX):
-    """(quotients, remainder) with f = sum(q_i * g_i) + remainder."""
-    key, reducers, inverses = _monic_reducers(basis, order)
-    ring = f.ring
-    field = ring.field
-    events = []
-    rem = _reduce(_prepare(f, key), reducers, field, key, events=events)
-    quots = [dict() for _ in reducers]
-    for idx, shift, factor in events:
-        q = quots[idx]
-        if shift in q:
-            s = field.add(q[shift], factor)
-            if field.is_zero(s):
-                del q[shift]
-            else:
-                q[shift] = s
-        else:
-            q[shift] = factor
-    # the recorded steps divided by g_i / lc_i, not by g_i
-    for q, inv in zip(quots, inverses):
-        if inv is not None:
-            for shift in q:
-                q[shift] = field.mul(q[shift], inv)
-    return [Polynomial(ring, q) for q in quots], Polynomial(ring, dict(rem))
-
-
-def divide_exact(f, g):
-    """f / g when the division is exact; raises otherwise."""
-    if f.is_zero():
-        return f
-    quots, rem = normal_form_with_quotients(f, [g], GREVLEX)
-    if not rem.is_zero():
-        raise InputError("division is not exact")
-    return quots[0]
 
 
 def _poly_sort_key(items, key):
@@ -400,29 +353,25 @@ def lead_monomial_basis(generators, order=GREVLEX, truncate_degree=None):
     return tuple(b[0] for b in _minimalize_basis(basis, key))
 
 
-def reduced_groebner_basis(generators, order=GREVLEX, truncate_degree=None):
+def reduced_groebner_basis(generators, order=GREVLEX):
     """The unique reduced Groebner basis of the ideal the generators span.
 
     Pair selection follows the normal strategy (smallest lcm first) with
     Buchberger's product and chain criteria.  Deterministic: the result is
     independent of generator permutation.
     """
-    cap = truncate_degree
-    ring, field, key, basis = _completed_basis(generators, order, cap)
+    ring, field, key, basis = _completed_basis(generators, order, None)
     minimal = _minimalize_basis(basis, key)
 
-    # interreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            items = minimal[idx][2]
-            others = minimal[:idx] + minimal[idx + 1:]
-            red = _reduce(items, others, field, key, cap)
-            if red != items:
-                red = _normalize_element(red, field)
-                minimal[idx] = (red[0][0], red[0][1], red)
-                changed = True
+    # interreduce tails in one pass: no lead monomial changes, so a tail
+    # reduced against the leads stays reduced
+    for idx in range(len(minimal)):
+        items = minimal[idx][2]
+        others = minimal[:idx] + minimal[idx + 1:]
+        red = _reduce(items, others, field, key)
+        if red != items:
+            red = _normalize_element(red, field)
+            minimal[idx] = (red[0][0], red[0][1], red)
 
     final = []
     for lm, lc, items in minimal:

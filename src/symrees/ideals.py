@@ -1,8 +1,11 @@
-"""Ideal-level operations: intersection, quotient, saturation, powers, dimension,
+"""Ideal-level operations: intersection, saturation, powers, dimension,
 colength and Hilbert multiplicity.
 
-Everything runs through reduced Groebner bases.  Intersections use one
-auxiliary variable and a block order.
+Everything runs through reduced Groebner bases.  Intersection and saturation
+are each one elimination: a fresh variable s is adjoined, one reduced basis
+is computed under the block order that makes s dominate, and the elements
+free of s generate the answer (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, 3.3 and 4.4).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import (
     VariableMismatchError,
     WrongDimensionError,
 )
-from .groebner import GroebnerBasis, divide_exact, reduced_groebner_basis
+from .groebner import GroebnerBasis, reduced_groebner_basis
 from .polynomials import GREVLEX, BlockOrder, Polynomial, mono_divides
 
 INFINITE = math.inf
@@ -78,52 +81,35 @@ class Ideal:
     # -- constructions -----------------------------------------------------------
 
     def intersect(self, other: "Ideal") -> "Ideal":
+        """self ∩ other = (s*self + (1 - s)*other) ∩ k[x]."""
         if self.ring != other.ring:
             raise VariableMismatchError("intersection over different rings")
         if self.is_unit():
             return other
         if other.is_unit():
             return self
+        return self._eliminate(
+            lambda ext, s: [g.lift(ext) * s for g in self.generators]
+            + [g.lift(ext) * (ext.one() - s) for g in other.generators])
+
+    def saturation(self, f) -> "Ideal":
+        """self : f^infinity = (self + (1 - s*f)) ∩ k[x], for one polynomial f."""
+        if f.ring != self.ring:
+            raise VariableMismatchError("saturation over different rings")
+        return self._eliminate(
+            lambda ext, s: [g.lift(ext) for g in self.generators]
+            + [ext.one() - s * f.lift(ext)])
+
+    def _eliminate(self, build) -> "Ideal":
+        """The ideal of this ring cut out of the ideal ``build(ext, s)`` spans
+        in ext = ring[s], s a fresh variable: the elements of its BlockOrder(1)
+        reduced basis that are free of s."""
         ring = self.ring
         name = ring.fresh_variable_name("s")
         ext = ring.extend(name)
-        s = ext.var(name)
-        one_minus_s = ext.one() - s
-        gens = [g.lift(ext) * s for g in self.generators]
-        gens += [g.lift(ext) * one_minus_s for g in other.generators]
-        order = BlockOrder(1)
-        gb = reduced_groebner_basis(gens, order)
+        gb = reduced_groebner_basis(build(ext, ext.var(name)), BlockOrder(1))
         kept = [p.restrict(ring) for p in gb if not any(m[-1] for m in p.terms)]
         return Ideal(kept, ring=ring)
-
-    def quotient(self, other) -> "Ideal":
-        """Colon ideal self : other."""
-        if isinstance(other, Polynomial):
-            other = Ideal([other], ring=self.ring)
-        if self.ring != other.ring:
-            raise VariableMismatchError("quotient over different rings")
-        if not other.generators:
-            raise EmptyIdealError("quotient by the zero ideal")
-        if self.is_unit():
-            return self
-        result = None
-        for g in other.generators:
-            if g.is_constant():
-                part = self
-            else:
-                meet = self.intersect(Ideal([g], ring=self.ring))
-                part = Ideal([divide_exact(h, g) for h in meet.generators], ring=self.ring)
-            result = part if result is None else result.intersect(part)
-        return result
-
-    def saturation(self, other) -> "Ideal":
-        """self : other^infinity, by iterating the quotient until it stabilizes."""
-        current = self
-        while True:
-            nxt = current.quotient(other)
-            if nxt == current:
-                return current
-            current = nxt
 
     def power(self, r: int) -> "Ideal":
         if r < 0:

@@ -206,13 +206,18 @@ def _truncated_colength(gens, ring, n):
 def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
-    Returns ``(length, stable_at)``.  Positive dimensional components through
-    the origin are detected up front via saturation and reported as INFINITE.
-    Otherwise one standard basis of J + m^N' under the local order DS is
-    computed, with every term of degree > N' dropped (Greuel-Pfister, A
-    Singular Introduction to Commutative Algebra, 1.6-1.7; Mora's tangent
-    cone algorithm).  J + m^N' is m-primary, so the standard basis is finite
-    and its lead monomials span in(J + m^N').
+    Returns ``(length, stable_at)``.  The length is INFINITE exactly when a
+    positive-dimensional component (embedded or not) passes through the
+    origin, i.e. when the origin lies in V(J : m^infinity).  Since
+    J : m^infinity is the intersection of the J : v^infinity over the
+    variables v and V(A ∩ B) = V(A) ∪ V(B), that holds iff for some v the
+    saturation J : v^infinity, one elimination, lies in m.  The test runs
+    only when J is not zero-dimensional.  Otherwise one standard basis of
+    J + m^N' under the local order DS is computed, with every term of
+    degree > N' dropped (Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, 1.6-1.7; Mora's tangent cone algorithm).  J + m^N'
+    is m-primary, so the standard basis is finite and its lead monomials
+    span in(J + m^N').
 
     One run gives every colength up to N'.  Under a local degree order the
     lead term of f lies among its lowest-degree terms, so for N <= N' an
@@ -241,12 +246,10 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     if J.is_unit():
         return 0, None
     if J.krull_dimension() >= 1:
-        maximal = Ideal([ring.var(v) for v in ring.variables], ring=ring)
-        sat = J.saturation(maximal)
-        if not sat.is_unit() and all(
-            ring.field.is_zero(p.constant_term()) for p in sat.groebner()
-        ):
-            return INFINITE, None
+        for v in ring.variables:
+            sat = J.saturation(ring.var(v))
+            if all(ring.field.is_zero(p.constant_term()) for p in sat.generators):
+                return INFINITE, None
     if cap < 3:
         raise InputError("the truncation cap must be at least 3")
     n = 2
@@ -265,18 +268,14 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
 
 
 def default_cap(rhs: int) -> int:
-    """Default truncation cap, clamped to the hard cap.
+    """Default truncation cap: 2*rhs + 8, clamped to the hard cap.
 
-    The colength-based floor N(N+1)/2 > 4*rhs is not always enough: high
-    witness degrees stretch the staircase, and the smallest stabilization
-    point can pass it (the 2x3 grid stabilizes one step beyond it).  A finite
-    local length L always stabilizes by N = L + 1, so 2*rhs + 8 leaves room
-    for moderately perturbed pairs whose length exceeds the bound.
+    A finite local length L always stabilizes by N = L + 1, so 2*rhs + 8
+    leaves room for moderately perturbed pairs whose length exceeds rhs.  It
+    also clears the colength floor N(N+1)/2 > 4*rhs, which alone is not
+    always enough (the 2x3 grid stabilizes one step beyond that floor).
     """
-    n = 2
-    while n * (n + 1) // 2 <= 4 * rhs:
-        n += 1
-    return min(max(n, 2 * rhs + 8), HARD_CAP)
+    return min(2 * rhs + 8, HARD_CAP)
 
 
 def _eliminate_along(u: GenericLinearForm, polys):

@@ -182,3 +182,18 @@ def test_scalar_strings():
     assert F.scalar_str((1, 2)) == "1+2*w"
     assert F.scalar_str(F.zero) == "0"
     assert RationalField().scalar_str(Fraction(3, 2)) == "3/2"
+
+
+def test_rescale_terms_returns_plain_ints():
+    # Fraction arithmetic yields Fraction(n, 1) for integer results; a rescaled
+    # term list must not carry those on into the Groebner engine
+    out = RationalField().rescale_terms([((1, 0), Fraction(3, 1))])
+    assert out == [((1, 0), 1)] and type(out[0][1]) is int
+    out = RationalField().rescale_terms([((1, 0), Fraction(1, 1)), ((0, 1), 2)])
+    assert out == [((1, 0), 1), ((0, 1), 2)]
+    assert all(type(c) is int for _, c in out)
+    out = CyclotomicField(4).rescale_terms([((1, 0), (Fraction(1, 1), 2))])
+    assert out == [((1, 0), (1, 2))]
+    assert all(type(v) is int for v in out[0][1])
+    plain = [((1, 0), 1), ((0, 1), -2)]
+    assert RationalField().rescale_terms(plain) is plain

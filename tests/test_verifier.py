@@ -121,6 +121,12 @@ def test_local_length_infinite_certificate():
     val, n = local_length_at_origin(Ideal([a**2], ring=S2), cap=16)
     assert val == INFINITE
     assert n is None
+    b = S2.var("y")
+    # (x^2, xy) = (x) ∩ (x^2, y): the line x = 0 through the origin, with an
+    # embedded point there
+    assert local_length_at_origin(Ideal([a**2, a * b], ring=S2), cap=16) == (INFINITE, None)
+    # the line x = 0 through the origin and the line y = -1 away from it
+    assert local_length_at_origin(Ideal([a * (1 + b)], ring=S2), cap=16) == (INFINITE, None)
 
 
 def test_local_length_component_away_from_origin():
@@ -134,6 +140,10 @@ def test_local_length_component_away_from_origin():
     # no point at the origin at all
     val, _ = local_length_at_origin(Ideal([a, b - 1], ring=S2), cap=16)
     assert val == 0
+    # (x(y-1), y(y-1)) = (y - 1) ∩ (x, y): a line away from the origin plus
+    # the reduced point at the origin
+    val, _ = local_length_at_origin(Ideal([a * (b - 1), b * (b - 1)], ring=S2), cap=16)
+    assert val == 1
 
 
 def test_local_length_cap_exceeded():
@@ -149,6 +159,11 @@ def test_default_cap_monotone_and_bounded():
     assert default_cap(1) >= 4
     assert default_cap(304) <= 256
     assert default_cap(96) >= 30  # must cover the 2x3 grid stabilization at 29
+    for rhs in range(500):
+        n = default_cap(rhs)
+        assert n == min(2 * rhs + 8, 256)
+        # below the hard cap, the colength floor N(N+1)/2 > 4*rhs is cleared
+        assert n == 256 or n * (n + 1) // 2 > 4 * rhs
 
 
 # --- homogeneous route ----------------------------------------------------------------
@@ -214,15 +229,17 @@ def test_routes_agree_on_fermat3():
 
 
 def _local_length_by_component_split(J):
-    """Independent oracle: strip everything prime to the origin by saturating
-    at the irrelevant ideal, then recover the origin-primary component as a
-    second saturation and count its standard monomials.  Shares no code path
-    with the m-adic truncation loop."""
+    """Independent oracle: away = J : m^infinity = (J : a^infinity) ∩
+    (J : b^infinity) is the part of J away from the origin; an element f of
+    its basis with f(0) != 0 lies in the prime of every other component and
+    not in m, so J : f^infinity is the origin-primary component, whose
+    standard monomials are counted.  Shares no code path with the m-adic
+    truncation loop."""
     ring = J.ring
-    m = Ideal([ring.var(v) for v in ring.variables], ring=ring)
-    away = J.saturation(m)
-    origin_part = J.saturation(away)
-    return origin_part.vector_space_dimension()
+    a, b = (ring.var(v) for v in ring.variables)
+    away = J.saturation(a).intersect(J.saturation(b))
+    f = next(p for p in away.groebner() if not ring.field.is_zero(p.constant_term()))
+    return J.saturation(f).vector_space_dimension()
 
 
 def test_local_length_against_component_split_oracle():

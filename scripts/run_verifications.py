@@ -3,9 +3,13 @@
 
 Usage:
     python scripts/run_verifications.py [--out-dir reports] [--fast] [--seed N]
+                                        [--compare DIR]
 
 ``--fast`` keeps only the prime-field runs and the small char-0 ones; the full
 list adds fermat-4, fermat-5 and grid-2x3 in characteristic zero.
+``--compare DIR`` diffs each report against ``DIR/<name>.json`` (a previous
+``--out-dir``), ignoring ``timings_ms``, prints the keys that differ and exits
+1 on any difference.
 """
 
 import argparse
@@ -44,22 +48,37 @@ def build_jobs(fast: bool):
     return jobs
 
 
+def differing_keys(new, old, prefix=""):
+    """Dotted paths at which two report dicts differ, ``timings_ms`` aside."""
+    if not (isinstance(new, dict) and isinstance(old, dict)):
+        return [] if new == old else [prefix or "<report>"]
+    out = []
+    for key in sorted(set(new) | set(old)):
+        if prefix or key != "timings_ms":
+            path = f"{prefix}.{key}" if prefix else key
+            out += differing_keys(new.get(key), old.get(key), path)
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reports")
     ap.add_argument("--fast", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--compare", metavar="DIR")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
+    differences = 0
     for name, make in build_jobs(args.fast):
         t0 = time.monotonic()
         report = verify(make(), seed=args.seed)
         elapsed = round(time.monotonic() - t0, 2)
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        path.write_text(text)
         detail = ""
         if report.lengths:
             detail = f"lhs = rhs = {report.lengths['lhs']}"
@@ -68,8 +87,20 @@ def main():
             detail = f"{pc['d1']}*{pc['d2']} = {pc['r1']}*{pc['r2']}*{pc['e']}"
         rows.append((name, report.method, report.verdict, detail, elapsed))
         print(f"{name:16s} {report.method:9s} {report.verdict:28s} {detail:22s} {elapsed:7.2f}s")
+        if args.compare:
+            old = pathlib.Path(args.compare) / f"{name}.json"
+            keys = (differing_keys(json.loads(text), json.loads(old.read_text()))
+                    if old.exists() else [f"no {old}"])
+            if keys:
+                differences += 1
+                print(f"  differs from {old}: {', '.join(keys)}")
     verified = sum(1 for r in rows if r[2] == "condition-verified")
     print(f"\n{verified}/{len(rows)} configurations verified; reports in {outdir}/")
+    if args.compare:
+        print(f"{differences}/{len(rows)} reports differ from {args.compare}/ "
+              "(timings_ms ignored)")
+        if differences:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

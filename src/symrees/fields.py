@@ -110,6 +110,31 @@ def embed_root_into_prime_field(n: int, p: int) -> int:
     raise NoSuchRootError(f"no order-{n} element found in F_{p}")  # unreachable
 
 
+REDUCTION_PRIME_FLOOR = 1 << 30
+
+
+@functools.lru_cache(maxsize=None)
+def degree_one_prime(n: int):
+    """(p, omega): the least prime p >= 2^30 with p = 1 (mod n), and an element
+    omega of order exactly n mod p.
+
+    omega is a root of Phi_n mod p, so zeta_n -> omega is a ring map
+    Z[zeta_n] -> F_p; its kernel is a prime of Z[zeta_n] of degree one over p.
+    omega is a^((p-1)/n) for the least a >= 2 that gives order n, so finding it
+    costs a few modular powers, not a scan of F_p.
+    """
+    p = REDUCTION_PRIME_FLOOR + (1 - REDUCTION_PRIME_FLOOR) % n
+    while not is_prime(p):
+        p += n
+    qs = prime_divisors(n)
+    a = 2
+    while True:
+        omega = pow(a, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in qs):
+            return p, omega
+        a += 1
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Serializable description of a coefficient field."""
@@ -289,6 +314,14 @@ class RationalField(Field):
             out.append((m, n * (lden // d) // g))
         return out
 
+    def reduction_mod_prime(self):
+        """(F_p, reduce) for the least prime p >= 2^30: ``reduce`` rescales a
+        term list to coprime integers and maps it to F_p, dropping zeros."""
+        p, _ = degree_one_prime(1)
+        return PrimeField(p), lambda items: [
+            (m, c % p) for m, c in self.rescale_terms(items) if c % p
+        ]
+
     def scalar_str(self, a):
         return str(a)
 
@@ -430,6 +463,24 @@ class CyclotomicField(Field):
                 vec.append(n * (lden // d) // g)
             out.append((m, tuple(vec)))
         return out
+
+    def reduction_mod_prime(self):
+        """(F_p, reduce) for the degree-one prime P = ker(zeta -> omega) of
+        Z[zeta_n] with (p, omega) = ``degree_one_prime(n)``: ``reduce`` rescales
+        a term list to integral coordinates with content one and maps each
+        coefficient to F_p, dropping zeros."""
+        p, omega = degree_one_prime(self.n)
+        powers = [pow(omega, i, p) for i in range(self.degree)]
+
+        def reduce(items):
+            out = []
+            for m, c in self.rescale_terms(items):
+                r = sum(x * w for x, w in zip(c, powers)) % p
+                if r:
+                    out.append((m, r))
+            return out
+
+        return PrimeField(p), reduce
 
     def scalar_str(self, a):
         parts = []

@@ -12,9 +12,18 @@ The local length is computed from one m-adically truncated standard basis of
 J + m^N' under the local order DS: its standard monomials, counted by degree,
 give every colength dim S/(J + m^N) with N <= N', and the first degree d with
 none certifies by Nakayama that colength(d) is the exact local length.  N'
-grows only when no such degree lies below it.  A verified criterion implies
-the symbolic Rees ring is finitely generated; a failed check proves nothing
-(the criterion is existential over witness pairs).
+grows only when no such degree lies below it.
+
+Over Q or Q(zeta_n) the length is first proved modulo a degree-one prime P
+of Z[zeta_n] over p >= 2^30.  M_N = O_P[x,y]/(f, g, m^N) is a finitely
+generated module over the DVR O_P, so dim_K(J + m^N) <= dim_F_p(J_P + m^N)
+for every N and the char-0 length is at most the F_p length L_p; Huneke
+(Michigan Math. J. 34, 1987) gives lhs >= rhs, so L_p = rhs proves lhs = rhs.
+Any other L_p (an unlucky prime) falls back to the exact char-0 route, and
+``stable_at`` is the degree of whichever certificate proved the length.
+
+A verified criterion implies the symbolic Rees ring is finitely generated; a
+failed check proves nothing (the criterion is existential over witness pairs).
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from .points import (
     points_ideal,
     symbolic_power_membership,
 )
-from .polynomials import DS, Polynomial, mono_divides
+from .polynomials import DS, Polynomial, PolyRing, mono_divides
 
 VERDICT_VERIFIED = "condition-verified"
 VERDICT_NOT_ESTABLISHED = "condition-not-established"
@@ -267,6 +276,37 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
         n = min(n + max(1, n // 4), cap)
 
 
+def _local_length_mod_prime(J: Ideal, cap: int, rhs: int):
+    """``(rhs, stable_at)`` when one run over F_p proves that the
+    characteristic-0 local length of J is ``rhs``; None when it does not.
+
+    The generators are made integral and reduced modulo the degree-one prime
+    P of ``field.reduction_mod_prime``; ``local_length_at_origin`` then runs
+    unchanged over F_p.  Its length L_p bounds the char-0 length L from
+    above, so L_p = rhs, with Huneke's L >= rhs, proves L = rhs; the
+    returned ``stable_at`` is the degree of that F_p certificate.  An
+    INFINITE or larger L_p (a generator that vanishes mod P leaves L_p
+    INFINITE), or a cap exceeded over F_p, proves nothing (an unlucky
+    prime): the caller runs the exact route.  L_p < rhs contradicts
+    L_p >= L >= rhs and raises InvariantError.
+    """
+    ring = J.ring
+    fp, reduce = ring.field.reduction_mod_prime()
+    fp_ring = PolyRing(fp, ring.variables)
+    images = [Polynomial(fp_ring, dict(reduce(list(g.terms.items())))) for g in J.generators]
+    try:
+        lp, stable_at = local_length_at_origin(Ideal(images, ring=fp_ring), cap, target=rhs)
+    except CapExceededError:
+        return None
+    if lp > rhs:
+        return None
+    if lp < rhs:
+        raise InvariantError(
+            f"the local length {lp} mod {fp.p} fell below the certified bound {rhs}"
+        )
+    return lp, stable_at
+
+
 def default_cap(rhs: int) -> int:
     """Default truncation cap: 2*rhs + 8, clamped to the hard cap.
 
@@ -383,7 +423,10 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
         J = Ideal([g for g in (xi1s, xi2s) if not g.is_zero()], ring=two_ring)
         if cap is None:
             cap = default_cap(rhs)
-        lhs, stable_at = local_length_at_origin(J, cap, target=rhs)
+        found = None
+        if field.characteristic == 0:
+            found = _local_length_mod_prime(J, cap, rhs)
+        lhs, stable_at = found or local_length_at_origin(J, cap, target=rhs)
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:

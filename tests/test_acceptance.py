@@ -74,6 +74,7 @@ def test_criterion_2_fermat4_characteristic_zero():
     assert report.lengths["lhs"] == report.lengths["rhs"] == 304 == 4 * 4 * 19
     # the truncation oracle certificate: two consecutive N agreed
     assert report.lengths["stable_at"] is not None
+    assert report.lengths["stable_at"] == 36
     assert report.verdict == VERDICT_VERIFIED
     elapsed = time.monotonic() - t0
     assert elapsed < 600
@@ -142,12 +143,15 @@ def test_criterion_3_fermat5_fast_mode_smallest_workable_prime():
 
 
 def test_criterion_3_fermat5_characteristic_zero():
-    # the n = 5 configuration over Q(zeta_5) itself, without reducing mod p
+    # the n = 5 configuration over Q(zeta_5) itself: the length is proved by
+    # one run modulo a degree-one prime of Z[zeta_5] (an upper bound on the
+    # char-0 length) and Huneke's lower bound lhs >= rhs
     t0 = time.monotonic()
     report = verify(fermat(5))
     assert report.method == METHOD_LENGTH
     assert report.lengths["lhs"] == report.lengths["rhs"] == 700 == 5 * 5 * 28
     assert report.lengths["stable_at"] is not None
+    assert report.lengths["stable_at"] == 55
     assert report.verdict == VERDICT_VERIFIED
     assert report.confirmation["verdict"] == VERDICT_VERIFIED
     assert report.confirmation["lhs"] == 700
@@ -210,6 +214,7 @@ def test_criterion_5_grid_2x3():
     assert len(cfg.points) == 8
     report = verify(cfg)
     assert report.lengths["lhs"] == report.lengths["rhs"] == 96
+    assert report.lengths["stable_at"] == 29
     assert report.verdict == VERDICT_VERIFIED
     assert time.monotonic() - t0 < 600
     _report("criterion 5b: grid 2x3 over Q(zeta_6), lhs = rhs = 96", t0)

@@ -31,3 +31,14 @@ def test_tracer_installs_and_restores(tracer):
     assert {"cli.run", "configs.build", "verifier.verify", "groebner.normal_form"} <= names
     tracer.restore()
     assert (symrees.verifier.verify, symrees.groebner.normal_form, symrees.cli.run) == originals
+
+
+def test_tracer_sees_the_length_route(tracer):
+    import symrees.cli
+
+    tracer.install()
+    assert symrees.cli.run(["verify-grid", "--m", "2", "--n", "2"]) == 0
+    names = {span[0] for span in tracer.spans}
+    # over Q the length comes from a run modulo a prime, which must still
+    # go through the wrapped local_length_at_origin and lead_monomial_basis
+    assert {"verifier.local_length", "groebner.truncated"} <= names

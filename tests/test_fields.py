@@ -11,8 +11,11 @@ from symrees.fields import (
     PrimeField,
     RationalField,
     cyclotomic_polynomial,
+    degree_one_prime,
     embed_root_into_prime_field,
+    is_prime,
     make_field,
+    prime_divisors,
 )
 
 
@@ -197,3 +200,42 @@ def test_rescale_terms_returns_plain_ints():
     assert all(type(v) is int for v in out[0][1])
     plain = [((1, 0), 1), ((0, 1), -2)]
     assert RationalField().rescale_terms(plain) is plain
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 12])
+def test_degree_one_prime(n):
+    p, omega = degree_one_prime(n)
+    assert p >= 2**30 and is_prime(p) and (p - 1) % n == 0
+    assert not any(is_prime(q) and (q - 1) % n == 0 for q in range(2**30, p))
+    assert pow(omega, n, p) == 1
+    assert all(pow(omega, n // q, p) != 1 for q in prime_divisors(n))
+    # omega is a root of Phi_n mod p, so zeta -> omega is a ring map Z[zeta] -> F_p
+    assert sum(c * pow(omega, i, p) for i, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+
+
+@pytest.mark.parametrize("field", [RationalField(), CyclotomicField(3), CyclotomicField(5)],
+                         ids=["Q", "zeta3", "zeta5"])
+def test_reduction_mod_prime_is_a_ring_map(field):
+    fp, reduce = field.reduction_mod_prime()
+    coords = st.integers(-10**6, 10**6)
+    scalars = coords if isinstance(field, RationalField) else st.tuples(*[coords] * field.degree)
+
+    def image(c):
+        # the unit term keeps the content one, so c is reduced as it stands
+        return dict(reduce([((0,), field.one), ((1,), c)])).get((1,), 0)
+
+    @given(scalars, scalars)
+    def inner(a, b):
+        assert image(field.add(a, b)) == fp.add(image(a), image(b))
+        assert image(field.mul(a, b)) == fp.mul(image(a), image(b))
+
+    inner()
+    if isinstance(field, CyclotomicField):
+        p, omega = degree_one_prime(field.n)
+        assert image(field.generator()) == omega
+        # zeta - omega lies in the prime, so a term list of its multiples vanishes
+        in_prime = field.sub(field.generator(), field.from_int(omega))
+        assert reduce([((0,), in_prime), ((1,), field.mul(in_prime, in_prime))]) == []
+    else:
+        # coefficients are made integral, with content one, before they are mapped
+        assert reduce([((0,), Fraction(1, 2)), ((1,), Fraction(3, 2))]) == [((0,), 1), ((1,), 3)]

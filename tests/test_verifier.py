@@ -9,19 +9,22 @@ from symrees.errors import (
     CapExceededError,
     GenericityExhaustedError,
     InputError,
+    InvariantError,
     MembershipFailedError,
     NotHomogeneousError,
 )
-from symrees.fields import PrimeField, RationalField
+from symrees import verifier
+from symrees.fields import CyclotomicField, PrimeField, RationalField, degree_one_prime
 from symrees.ideals import INFINITE, Ideal
 from symrees.points import PointSet, ProjectivePoint, base_ring, points_ideal
-from symrees.polynomials import Polynomial
+from symrees.polynomials import PolyRing, Polynomial
 from symrees.verifier import (
     METHOD_HOMOGENEOUS,
     METHOD_LENGTH,
     VERDICT_NOT_ESTABLISHED,
     VERDICT_VERIFIED,
     GenericLinearForm,
+    _local_length_mod_prime,
     check_condition_by_length,
     check_homogeneous_condition,
     default_cap,
@@ -305,12 +308,19 @@ def test_local_order_colengths_match_grevlex_oracle():
             assert _local_colengths(gens, a.ring, 20) == _grevlex_colengths(gens, a.ring, 20)
 
 
+def _random_scalar(field, rnd):
+    c = field.from_int(rnd.randint(-4, 4))
+    if isinstance(field, CyclotomicField):
+        c = field.add(c, field.mul(field.from_int(rnd.randint(-4, 4)), field.generator()))
+    return c
+
+
 def _random_poly(ring, rnd, max_terms=4, max_deg=3, constant=True):
     terms = {}
     for _ in range(rnd.randint(1, max_terms)):
         d = rnd.randint(0 if constant else 1, max_deg)
         i = rnd.randint(0, d)
-        terms[(i, d - i)] = ring.field.from_int(rnd.randint(-4, 4))
+        terms[(i, d - i)] = _random_scalar(ring.field, rnd)
     return Polynomial.from_dict(ring, terms)
 
 
@@ -342,6 +352,113 @@ def test_local_order_needs_truncation():
     with pytest.raises(InputError):
         normal_form(x, [x - x**2], DS)
     assert lead_monomial_basis([x - x**2, y], order=DS, truncate_degree=4) == ((0, 1, 0), (1, 0, 0))
+
+
+# --- the local length modulo a degree-one prime --------------------------------------
+
+
+def _eliminated_witnesses(cfg, seed):
+    """The two-variable ideal J of the length route and its rhs r1*r2*#H."""
+    from symrees.verifier import _eliminate_along
+
+    u = pick_generic_linear_form(cfg.points, seed=seed, ideal=cfg.points_ideal())
+    w = cfg.witnesses
+    a, b = _eliminate_along(u, [w.xi1, w.xi2])
+    return Ideal([a, b], ring=a.ring), w.r1 * w.r2 * u.colength
+
+
+@pytest.mark.parametrize("make, seed", [
+    (lambda: fermat(4), 0),
+    (lambda: fermat(4), 1),
+    (lambda: grid_example(2, 2), 0),
+    (lambda: grid_example(2, 3), 0),
+], ids=["fermat-4-seed0", "fermat-4-seed1", "grid-2x2", "grid-2x3"])
+def test_modular_local_length_matches_exact_route(make, seed):
+    J, rhs = _eliminated_witnesses(make(), seed)
+    cap = default_cap(rhs)
+    assert _local_length_mod_prime(J, cap, rhs) == local_length_at_origin(J, cap, target=rhs)
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, CyclotomicField(3)]))
+def test_modular_local_length_accepts_only_the_exact_length(rnd, field):
+    # both curves pass through the origin, so a finite length is positive
+    S2 = PolyRing(field, ("x", "y"))
+    pair = (_random_poly(S2, rnd, constant=False), _random_poly(S2, rnd, constant=False))
+    gens = [p for p in pair if not p.is_zero()]
+    if not gens:
+        return
+    J = Ideal(gens, ring=S2)
+    exact, _ = local_length_at_origin(J, cap=24)
+    if exact == INFINITE:
+        return
+    # InvariantError here would mean a length mod p below the exact one
+    found = _local_length_mod_prime(J, 24, exact)
+    if found is not None:
+        assert found[0] == exact
+
+
+def _two_variable_ring(field=Q):
+    S2 = PolyRing(field, ("x", "y"))
+    return S2, S2.var("x"), S2.var("y")
+
+
+def _route_with_pair(monkeypatch, points, witnesses, f, g):
+    """check_condition_by_length with (f, g) in place of the eliminated witnesses."""
+    monkeypatch.setattr(verifier, "_eliminate_along", lambda u, polys: [f, g])
+    return check_condition_by_length(PointSet(points), witnesses)
+
+
+def test_modular_step_declines_when_p_divides_a_coefficient(monkeypatch):
+    p, _ = degree_one_prime(1)
+    S2, a, b = _two_variable_ring()
+    f, g = a * p + b**2, a**2 + b**3
+    # over Q, x = -y^2/p locally and g becomes y^3 times a unit: length 3;
+    # mod p the pair is (y^2, x^2 + y^3), of length 4
+    assert local_length_at_origin(Ideal([f, g], ring=S2), cap=16) == (3, 4)
+    T, c, d = _two_variable_ring(PrimeField(p))
+    assert local_length_at_origin(Ideal([d**2, c**2 + d**3], ring=T), cap=16)[0] == 4
+    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 3) is None
+    # the route falls back to the exact run: three points, rhs = 1 * 1 * 3
+    pts = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
+    rep = _route_with_pair(monkeypatch, pts, WitnessPair(x * y, 1, y * z, 1), f, g)
+    assert rep.lengths == {"lhs": 3, "rhs": 3, "stable_at": 4}
+    assert rep.verdict == VERDICT_VERIFIED
+
+
+def test_modular_stable_at_is_the_degree_of_the_proving_certificate(monkeypatch):
+    p, _ = degree_one_prime(1)
+    S2, a, b = _two_variable_ring()
+    f, g = a**2 + b * p, b**2
+    # over Q, y = -x^2/p locally: (x^2 + p*y, x^4), standard monomials 1..x^3,
+    # whose Nakayama certificate is at degree 4; mod p it is (x^2, y^2), same
+    # length, certified at degree 3
+    assert local_length_at_origin(Ideal([f, g], ring=S2), cap=16, target=4) == (4, 5)
+    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 4) == (4, 4)
+    # the report carries the certificate that proved the length: two points
+    # with z^2 in I^(2) and z in I, rhs = 2 * 1 * 2
+    pts = [P(1, 0, 0), P(0, 1, 0)]
+    rep = _route_with_pair(monkeypatch, pts, WitnessPair(z**2, 2, z, 1), f, g)
+    assert rep.lengths == {"lhs": 4, "rhs": 4, "stable_at": 4}
+
+
+def test_modular_step_declines_on_a_generator_in_the_prime():
+    F = CyclotomicField(4)
+    p, omega = degree_one_prime(4)
+    S2, a, b = _two_variable_ring(F)
+    in_prime = F.sub(F.generator(), F.from_int(omega))
+    # (zeta - omega)*x vanishes mod P, which leaves (y) and an infinite L_p
+    J = Ideal([a * S2.constant(in_prime), b], ring=S2)
+    assert local_length_at_origin(J, cap=16, target=1)[0] == 1
+    assert _local_length_mod_prime(J, 16, 1) is None
+
+
+def test_modular_length_below_rhs_is_a_bug():
+    S2, a, b = _two_variable_ring()
+    # the length of (x^2, y^2) is 4 in every characteristic; Huneke's bound
+    # says the char-0 length is at least rhs, so 4 < 5 cannot happen
+    with pytest.raises(InvariantError):
+        _local_length_mod_prime(Ideal([a**2, b**2], ring=S2), 16, 5)
 
 
 def test_length_check_same_witness_twice_is_infinite():

@@ -5,13 +5,27 @@ coordinate is 1, matching the (a : b : 1) shape of the grid constructions.
 The defining ideal of a point comes from the 2x2 minors of the coordinate
 matrix and always reduces to two independent linear forms.
 
-Symbolic power membership is checked point by point (a normal form against
-the r-th power of each point ideal); the global intersection is only formed
+Symbolic power membership is checked point by point by order of vanishing,
+with no Groebner basis.  Let c be the coordinate of P normalized to 1 and
+v, w the other two, with coordinates a_v, a_w.  The linear change
+V = v - a_v*c, W = w - a_w*c sends P to the origin of its chart, where
+I_P = (V, W) and I_P^r = (V, W)^r is a monomial ideal.  So xi lies in
+I_P^r = I_P^(r) exactly when every term of xi, rewritten in (V, W, c), has
+(V, W)-degree at least r: its Taylor (Hasse) coefficients of order < r at P
+vanish.  The binomial expansion is exact in every characteristic (Zariski-
+Nagata; Dao, De Stefani, Grifo, Huneke and Nunez-Betancourt, Symbolic powers
+of ideals, 2018).  The three charts are (a : b : 1), (a : 1 : 0) and
+(1 : 0 : 0); a zero coordinate needs no shift.
+
+``PointPowerCache`` keeps the Groebner route, reduced bases of I_P^r, as the
+reference the tests compare against.  The global intersection is only formed
 by ``symbolic_power_ideal``, which is budget-guarded because its cost grows
 with #points * r.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import BudgetExceededError, DuplicatePointsError, InputError
 from .ideals import Ideal, intersect_all
@@ -102,7 +116,8 @@ def points_ideal(H: PointSet, ring: PolyRing) -> Ideal:
 
 
 class PointPowerCache:
-    """Reduced bases of I_P^r, keyed by (point, r); shared across membership sweeps."""
+    """Reduced bases of I_P^r, keyed by (point, r): the Groebner route to
+    membership, kept as the reference for ``symbolic_power_membership``."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -118,15 +133,53 @@ class PointPowerCache:
         return gb
 
 
-def symbolic_power_membership(xi, H: PointSet, r: int, cache: PointPowerCache | None = None) -> bool:
+def _shift_weights(field, a, top, r):
+    """weights[i][s] = C(i, s) * a^(i - s), the coefficient of V^s c^(i-s) in
+    (V + a*c)^i, for i < ``top`` and s < r."""
+    powers = [field.one]
+    for _ in range(top):
+        powers.append(field.mul(powers[-1], a))
+    return [[field.mul(field.from_int(comb(i, s)), powers[i - s]) for s in range(min(i + 1, r))]
+            for i in range(top)]
+
+
+def _in_point_power(terms, field, point, r):
+    """True iff the polynomial with ``terms`` lies in I_P^r: its Taylor
+    coefficients of order < r at P all vanish."""
+    coords = point.coords
+    c = max(i for i in range(3) if not field.is_zero(coords[i]))
+    top = 1 + max(sum(m) for m in terms)
+    done = []                               # local variables already shifted
+    for v in (v for v in range(3) if v != c):
+        weights = _shift_weights(field, coords[v], top, r)
+        shifted = {}
+        for m, coeff in terms.items():
+            i = m[v]
+            room = r - 1 - sum(m[u] for u in done)   # highest V-degree still below order r
+            for s in range(min(i, room) + 1):
+                w = weights[i][s]
+                if field.is_zero(w):
+                    continue                # C(i, s) = 0 mod p, or a zero coordinate
+                e = list(m)
+                e[v] = s
+                e[c] += i - s
+                e = tuple(e)
+                term = field.mul(coeff, w)
+                prev = shifted.get(e)
+                shifted[e] = term if prev is None else field.add(prev, term)
+        terms = shifted
+        done.append(v)
+    return all(field.is_zero(coeff) for coeff in terms.values())
+
+
+def symbolic_power_membership(xi, H: PointSet, r: int) -> bool:
     """True iff xi lies in the r-th power of every point ideal of H."""
     if r < 1:
         raise InputError("symbolic power exponent must be >= 1")
     if xi.is_zero():
         return True
-    if cache is None:
-        cache = PointPowerCache(xi.ring)
-    return all(cache.basis(P, r).contains(xi) for P in H)
+    field = xi.ring.field
+    return all(_in_point_power(xi.terms, field, P, r) for P in H)
 
 
 def symbolic_power_ideal(H: PointSet, r: int, ring: PolyRing, budget: int = 64) -> Ideal:

@@ -28,6 +28,7 @@ failed check proves nothing (the criterion is existential over witness pairs).
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -41,13 +42,7 @@ from .errors import (
 )
 from .groebner import lead_monomial_basis
 from .ideals import INFINITE, Ideal
-from .points import (
-    PointPowerCache,
-    PointSet,
-    base_ring,
-    points_ideal,
-    symbolic_power_membership,
-)
+from .points import PointSet, base_ring, points_ideal, symbolic_power_membership
 from .polynomials import DS, Polynomial, PolyRing, mono_divides
 
 VERDICT_VERIFIED = "condition-verified"
@@ -57,6 +52,7 @@ METHOD_LENGTH = "thm-2.1"
 
 GENERIC_FORM_DRAWS = 32
 COEFFICIENT_RANGE = 9
+ENUMERATED_FIELD_BOUND = 64  # over F_q below this, every line is tried after the draws
 HARD_CAP = 256
 
 
@@ -124,30 +120,46 @@ def _ms(t0):
     return round((time.monotonic() - t0) * 1000, 3)
 
 
-def membership_results(H: PointSet, witnesses, ring, cache=None):
-    """Membership record for both witnesses, via per-point normal forms."""
-    cache = cache or PointPowerCache(ring)
+def membership_results(H: PointSet, witnesses, ring):
+    """Membership record for both witnesses, by order of vanishing at each
+    point of H; ``ring`` is the witnesses' ring (the test needs nothing from it)."""
     out = []
     for idx, (xi, r) in enumerate(((witnesses.xi1, witnesses.r1), (witnesses.xi2, witnesses.r2)), 1):
-        out.append({"witness": idx, "r": r, "member": symbolic_power_membership(xi, H, r, cache)})
+        out.append({"witness": idx, "r": r, "member": symbolic_power_membership(xi, H, r)})
     return out
+
+
+def _seeded_draws(seed):
+    """The GENERIC_FORM_DRAWS coefficient triples drawn from the seed."""
+    rng = random.Random(seed)
+    for _ in range(GENERIC_FORM_DRAWS):
+        yield tuple(rng.randint(-COEFFICIENT_RANGE, COEFFICIENT_RANGE) for _ in range(3))
+
+
+def _lines_over(q, seed):
+    """Every line of the plane over F_q, as (a, b, 1), (a, 1, 0) and (1, 0, 0),
+    in one fixed cyclic order entered at position seed mod (q^2 + q + 1)."""
+    lines = [(a, b, 1) for a in range(q) for b in range(q)]
+    lines += [(a, 1, 0) for a in range(q)] + [(1, 0, 0)]
+    k = seed % len(lines)
+    return lines[k:] + lines[:k]
 
 
 def pick_generic_linear_form(H: PointSet, seed: int, ideal: Ideal | None = None) -> GenericLinearForm:
     """Draw u = a*x + b*y + c*z with small integer coefficients from the seed.
 
     Accepted only if u vanishes at no point of H and dim_K S/(uS + I_H) equals
-    #H; up to 32 draws before giving up (tiny prime fields can exhaust this).
+    #H.  Up to 32 draws; over F_q with q < ENUMERATED_FIELD_BOUND, every line
+    of the plane is tried after them, so GenericityExhaustedError there means
+    no line over F_q avoids H (tiny prime fields can be blocked that way).
     """
     field = H.field
     ring = base_ring(field)
-    if ideal is None:
-        ideal = points_ideal(H, ring)
-    rng = random.Random(seed)
-    for draw in range(GENERIC_FORM_DRAWS):
-        coeffs = tuple(rng.randint(-COEFFICIENT_RANGE, COEFFICIENT_RANGE) for _ in range(3))
-        if not any(coeffs):
-            continue
+    q = field.characteristic
+    candidates = _seeded_draws(seed)
+    if 0 < q < ENUMERATED_FIELD_BOUND:
+        candidates = itertools.chain(candidates, _lines_over(q, seed))
+    for draw, coeffs in enumerate(candidates):
         u = ring.zero()
         for name, c in zip(("x", "y", "z"), coeffs):
             if c:
@@ -156,9 +168,15 @@ def pick_generic_linear_form(H: PointSet, seed: int, ideal: Ideal | None = None)
             continue  # coefficients can collapse mod p
         if any(field.is_zero(u.evaluate(P.coords)) for P in H):
             continue
+        if ideal is None:
+            ideal = points_ideal(H, ring)
         colength = Ideal(list(ideal.generators) + [u], ring=ring).vector_space_dimension()
         if colength == len(H):
             return GenericLinearForm(u, coeffs, seed, draw, colength)
+    if 0 < q < ENUMERATED_FIELD_BOUND:
+        raise GenericityExhaustedError(
+            f"none of the {q * q + q + 1} lines over F_{q} avoids the {len(H)} points"
+        )
     raise GenericityExhaustedError(
         f"no acceptable linear form in {GENERIC_FORM_DRAWS} draws from seed {seed}"
     )
@@ -212,21 +230,51 @@ def _truncated_colength(gens, ring, n):
     return sum(_standard_count(leads, ring.nvars, d) for d in range(n))
 
 
+def _certificate_runs(gens, ring, cap, target):
+    """One DS run per N', growing from the first N' up to ``cap``; yields the
+    certified ``(length, stable_at)`` of each run, or None when it has no
+    certificate, and raises CapExceededError after a run at the cap without
+    one."""
+    if cap < 3:
+        raise InputError("the truncation cap must be at least 3")
+    n = 2
+    if target is not None:
+        while (n - 1) * n // 2 < target:
+            n += 1
+    n = min(n, cap)
+    while True:
+        counts = _local_standard_counts(gens, ring, n)
+        if 0 in counts:
+            d = counts.index(0)
+            yield sum(counts[:d]), d + 1
+        else:
+            yield None
+        if n >= cap:
+            raise CapExceededError(f"no stabilization up to the cap N = {cap}")
+        n = min(n + max(1, n // 4), cap)
+
+
+def _meets_positive_dimension(J: Ideal) -> bool:
+    """True iff a positive-dimensional component of V(J) passes through the
+    origin (the INFINITE gate)."""
+    if J.krull_dimension() < 1:
+        return False
+    ring = J.ring
+    for v in ring.variables:
+        sat = J.saturation(ring.var(v))
+        if all(ring.field.is_zero(p.constant_term()) for p in sat.generators):
+            return True
+    return False
+
+
 def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
-    Returns ``(length, stable_at)``.  The length is INFINITE exactly when a
-    positive-dimensional component (embedded or not) passes through the
-    origin, i.e. when the origin lies in V(J : m^infinity).  Since
-    J : m^infinity is the intersection of the J : v^infinity over the
-    variables v and V(A ∩ B) = V(A) ∪ V(B), that holds iff for some v the
-    saturation J : v^infinity, one elimination, lies in m.  The test runs
-    only when J is not zero-dimensional.  Otherwise one standard basis of
-    J + m^N' under the local order DS is computed, with every term of
-    degree > N' dropped (Greuel-Pfister, A Singular Introduction to
-    Commutative Algebra, 1.6-1.7; Mora's tangent cone algorithm).  J + m^N'
-    is m-primary, so the standard basis is finite and its lead monomials
-    span in(J + m^N').
+    Returns ``(length, stable_at)``.  One standard basis of J + m^N' under
+    the local order DS is computed, with every term of degree > N' dropped
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6-1.7;
+    Mora's tangent cone algorithm).  J + m^N' is m-primary, so the standard
+    basis is finite and its lead monomials span in(J + m^N').
 
     One run gives every colength up to N'.  Under a local degree order the
     lead term of f lies among its lowest-degree terms, so for N <= N' an
@@ -239,9 +287,20 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     of degree below N.  If some degree d < N' has no standard monomial, then
     colength(d) = colength(d+1), i.e. m^d lies in J + m^(d+1), and Nakayama's
     lemma in the local ring gives m^d in J: the local length is colength(d).
-    The least such d is returned as the certificate pair (d, d+1), with
-    stable_at = d+1.  Without one, N' grows by a quarter (a char-0 run past
-    the stabilization degree is far dearer than one below it) up to ``cap``.
+    This holds whatever the global dimension of J.  The least such d is
+    returned as the certificate pair (d, d+1), with stable_at = d+1.
+    Without one, N' grows by a quarter (a char-0 run past the stabilization
+    degree is far dearer than one below it) up to ``cap``.
+
+    Only after the first run without a certificate does the INFINITE gate
+    run.  The length is INFINITE exactly when a positive-dimensional
+    component (embedded or not) passes through the origin, i.e. when the
+    origin lies in V(J : m^infinity).  Since J : m^infinity is the
+    intersection of the J : v^infinity over the variables v and
+    V(A ∩ B) = V(A) ∪ V(B), that holds iff for some v the saturation
+    J : v^infinity, one elimination, lies in m.  The test runs only when J
+    is not zero-dimensional.  An INFINITE J never has a certificate, so it
+    pays one run at the first N'.
 
     ``target`` (the expected length) only picks the first N': a colength of
     ``target`` in two variables needs d(d+1)/2 >= target, so N' starts one
@@ -251,44 +310,34 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return INFINITE, None
-    J = Ideal(gens, ring=ring)
-    if J.is_unit():
-        return 0, None
-    if J.krull_dimension() >= 1:
-        for v in ring.variables:
-            sat = J.saturation(ring.var(v))
-            if all(ring.field.is_zero(p.constant_term()) for p in sat.generators):
-                return INFINITE, None
-    if cap < 3:
-        raise InputError("the truncation cap must be at least 3")
-    n = 2
-    if target is not None:
-        while (n - 1) * n // 2 < target:
-            n += 1
-    n = min(n, cap)
-    while True:
-        counts = _local_standard_counts(gens, ring, n)
-        if 0 in counts:
-            d = counts.index(0)
-            return sum(counts[:d]), d + 1
-        if n >= cap:
-            raise CapExceededError(f"no stabilization up to the cap N = {cap}")
-        n = min(n + max(1, n // 4), cap)
+    for run, found in enumerate(_certificate_runs(gens, ring, cap, target)):
+        if found is not None:
+            return found
+        if run == 0 and _meets_positive_dimension(Ideal(gens, ring=ring)):
+            return INFINITE, None
+
+
+def _finite_local_length(J: Ideal, cap: int, target: int):
+    """``local_length_at_origin`` for a J whose local length is already known
+    to be finite: the same runs, without the INFINITE gate."""
+    return next(found for found in _certificate_runs(J.generators, J.ring, cap, target)
+                if found is not None)
 
 
 def _local_length_mod_prime(J: Ideal, cap: int, rhs: int):
-    """``(rhs, stable_at)`` when one run over F_p proves that the
-    characteristic-0 local length of J is ``rhs``; None when it does not.
+    """The local length L_p of J modulo a prime, with its ``stable_at``,
+    when it is finite; None when it is not.
 
     The generators are made integral and reduced modulo the degree-one prime
     P of ``field.reduction_mod_prime``; ``local_length_at_origin`` then runs
     unchanged over F_p.  Its length L_p bounds the char-0 length L from
     above, so L_p = rhs, with Huneke's L >= rhs, proves L = rhs; the
-    returned ``stable_at`` is the degree of that F_p certificate.  An
-    INFINITE or larger L_p (a generator that vanishes mod P leaves L_p
-    INFINITE), or a cap exceeded over F_p, proves nothing (an unlucky
-    prime): the caller runs the exact route.  L_p < rhs contradicts
-    L_p >= L >= rhs and raises InvariantError.
+    ``stable_at`` is then the degree of that F_p certificate.  A larger L_p
+    (an unlucky prime, or L > rhs) still bounds L, so the caller's exact
+    route needs no INFINITE gate and no N' above L_p + 1.  An INFINITE L_p
+    (also what a generator that vanishes mod P gives), or a cap exceeded
+    over F_p, proves nothing: None.  L_p < rhs contradicts L_p >= L >= rhs
+    and raises InvariantError.
     """
     ring = J.ring
     fp, reduce = ring.field.reduction_mod_prime()
@@ -298,7 +347,7 @@ def _local_length_mod_prime(J: Ideal, cap: int, rhs: int):
         lp, stable_at = local_length_at_origin(Ideal(images, ring=fp_ring), cap, target=rhs)
     except CapExceededError:
         return None
-    if lp > rhs:
+    if lp == INFINITE:
         return None
     if lp < rhs:
         raise InvariantError(
@@ -426,7 +475,14 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
         found = None
         if field.characteristic == 0:
             found = _local_length_mod_prime(J, cap, rhs)
-        lhs, stable_at = found or local_length_at_origin(J, cap, target=rhs)
+        if found is None:
+            lhs, stable_at = local_length_at_origin(J, cap, target=rhs)
+        elif found[0] == rhs:
+            lhs, stable_at = found
+        else:
+            # L <= L_p is finite, and its certificate degree d <= L <= L_p
+            # lies below N' = L_p + 1
+            lhs, stable_at = _finite_local_length(J, min(cap, found[0] + 1), rhs)
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:
@@ -460,7 +516,7 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     stages["points_ideal"] = _ms(t0)
 
     t0 = time.monotonic()
-    memberships = membership_results(H, witnesses, ring, PointPowerCache(ring))
+    memberships = membership_results(H, witnesses, ring)
     stages["memberships"] = _ms(t0)
 
     if not all(m["member"] for m in memberships):

@@ -18,7 +18,6 @@ from symrees.groebner import normal_form, reduced_groebner_basis, s_polynomial
 from symrees.ideals import INFINITE, Ideal
 from symrees.parsing import parse_polynomial
 from symrees.points import (
-    PointPowerCache,
     PointSet,
     ProjectivePoint,
     base_ring,
@@ -48,9 +47,8 @@ def _report(name, started):
 def test_criterion_1_fermat3():
     t0 = time.monotonic()
     cfg = fermat(3)
-    cache = PointPowerCache(cfg.ring)
-    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 3, cache)
-    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 2, cache)
+    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 3)
+    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 2)
     assert Ideal([cfg.witnesses.xi1, cfg.witnesses.xi2], ring=cfg.ring).height() == 2
     report = verify(cfg)
     pc = report.product_check
@@ -301,9 +299,8 @@ def test_criterion_7_inequality_suite():
     count_inf = count_strict = 0
     for cfg, witnesses in pairs:
         ideal = cfg.points_ideal()
-        cache = PointPowerCache(cfg.ring)
-        assert symbolic_power_membership(witnesses.xi1, cfg.points, witnesses.r1, cache)
-        assert symbolic_power_membership(witnesses.xi2, cfg.points, witnesses.r2, cache)
+        assert symbolic_power_membership(witnesses.xi1, cfg.points, witnesses.r1)
+        assert symbolic_power_membership(witnesses.xi2, cfg.points, witnesses.r2)
         report = check_condition_by_length(cfg.points, witnesses, ideal=ideal)
         lhs, rhs = report.lengths["lhs"], report.lengths["rhs"]
         if lhs == INFINITE:
@@ -416,12 +413,11 @@ def test_criterion_8_randomized_kernel_suites():
     g22 = grid_example(2, 2)
     for cfg in (tri, g22):
         I = cfg.points_ideal()
-        cache = PointPowerCache(cfg.ring)
         for r in (1, 2):
             gens = list(I.power(r).generators)
             rng.shuffle(gens)
             for g in gens[:10]:
-                assert symbolic_power_membership(g, cfg.points, r, cache)
+                assert symbolic_power_membership(g, cfg.points, r)
                 cases += 1
 
     # parse / print round trips in all three modes

@@ -108,6 +108,12 @@ def test_fast_mode_flag(tmp_path):
     assert "characteristic-p check" in obj["notes"]
 
 
+def test_small_field_seed_that_exhausts_its_draws(capsys):
+    # seed 53 draws no valid line over F_13 in 32 tries, but 16 of the 183
+    # lines avoid the 19 points; the enumeration finds one
+    assert run(["verify-fermat", "--n", "4", "--char", "13", "--seed", "53"]) == EXIT_VERIFIED
+
+
 def test_json_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["verify-grid", "--m", "2", "--n", "2", "--seed", "5", "--json", "--out", str(a)]) == 0

@@ -24,7 +24,7 @@ from symrees.errors import (
 )
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.ideals import Ideal
-from symrees.points import PointPowerCache, ProjectivePoint, base_ring, points_ideal, symbolic_power_membership
+from symrees.points import ProjectivePoint, base_ring, points_ideal, symbolic_power_membership
 
 Q = RationalField()
 R = base_ring(Q)
@@ -66,9 +66,8 @@ def test_three_points_coordinate_triangle():
 
 def test_three_points_memberships_hold():
     cfg = three_points(P(1, 2, 1), P(0, 1, 1), P(1, 0, 3))
-    cache = PointPowerCache(cfg.ring)
-    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 2, cache)
-    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 1, cache)
+    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 2)
+    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 1)
 
 
 def test_three_points_rejects_collinear_and_duplicates():
@@ -107,9 +106,8 @@ def test_fermat_point_count_is_n_squared_plus_three():
 
 def test_fermat_witness_memberships():
     cfg = fermat(3)
-    cache = PointPowerCache(cfg.ring)
-    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 3, cache)
-    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 2, cache)
+    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 3)
+    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 2)
 
 
 def test_fermat_four_witnesses():
@@ -175,9 +173,8 @@ def test_grid_pencil_ideal_is_the_points_ideal_of_the_grid():
 
 def test_two_pencils_memberships():
     cfg = grid_example(2, 2)
-    cache = PointPowerCache(cfg.ring)
-    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 4, cache)
-    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 2, cache)
+    assert symbolic_power_membership(cfg.witnesses.xi1, cfg.points, 4)
+    assert symbolic_power_membership(cfg.witnesses.xi2, cfg.points, 2)
 
 
 def test_two_pencils_validation_errors():

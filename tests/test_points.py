@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symrees.errors import BudgetExceededError, DuplicatePointsError, InputError
-from symrees.fields import CyclotomicField, RationalField
+from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.ideals import Ideal
 from symrees.points import (
     PointPowerCache,
@@ -13,6 +17,7 @@ from symrees.points import (
     symbolic_power_ideal,
     symbolic_power_membership,
 )
+from symrees.polynomials import Polynomial
 
 Q = RationalField()
 R = base_ring(Q)
@@ -106,28 +111,25 @@ def test_symbolic_power_budget():
 def test_ordinary_power_inside_symbolic_power():
     H = PointSet([P(1, 0, 0), P(0, 1, 0), P(1, 1, 1)])
     I = points_ideal(H, R)
-    cache = PointPowerCache(R)
     for r in (1, 2):
         for g in I.power(r).generators:
-            assert symbolic_power_membership(g, H, r, cache)
+            assert symbolic_power_membership(g, H, r)
 
 
 def test_product_rule_for_symbolic_powers():
     H = PointSet([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)])
     I = points_ideal(H, R)
-    cache = PointPowerCache(R)
     xi = I.generators[0]
     eta = I.generators[-1]
-    assert symbolic_power_membership(xi * eta, H, 2, cache)
+    assert symbolic_power_membership(xi * eta, H, 2)
 
 
 def test_membership_agrees_with_full_intersection():
     H = PointSet([P(1, 0, 0), P(0, 1, 0), P(1, 1, 1)])
     full = symbolic_power_ideal(H, 2, R)
-    cache = PointPowerCache(R)
     samples = list(full.generators) + [x**4, (x - z) ** 2 * (y - z) ** 2]
     for f in samples:
-        assert symbolic_power_membership(f, H, 2, cache) == full.contains(f)
+        assert symbolic_power_membership(f, H, 2) == full.contains(f)
 
 
 def test_cyclotomic_grid_points():
@@ -142,17 +144,13 @@ def test_cyclotomic_grid_points():
     assert points_ideal(H, S) == Ideal([f, g])
 
 
-def test_membership_normal_forms_invert_no_scalar():
-    # the bases of I_P^r are monic, so division by them needs no field
-    # inverse; over Q(zeta_4) each one is an extended-Euclid run.  The bases
-    # are built first: making a reduced basis monic does invert.
+def test_fermat4_memberships_invert_no_scalar():
+    # the order-of-vanishing test only multiplies and adds: Taylor weights
+    # are binomials times powers of the (already normalized) coordinates
     from symrees.configs import fermat
 
     cfg = fermat(4)
     w = cfg.witnesses
-    cache = PointPowerCache(cfg.ring)
-    for xi, r in ((w.xi1, w.r1), (w.xi2, w.r2)):
-        assert symbolic_power_membership(xi, cfg.points, r, cache)
     field = cfg.field
     calls = []
     inv = field.inv
@@ -164,7 +162,84 @@ def test_membership_normal_forms_invert_no_scalar():
     field.inv = counted
     try:
         for xi, r in ((w.xi1, w.r1), (w.xi2, w.r2)):
-            assert symbolic_power_membership(xi, cfg.points, r, cache)
+            assert symbolic_power_membership(xi, cfg.points, r)
+            assert not symbolic_power_membership(xi, cfg.points, r + 1)
     finally:
         del field.inv
     assert calls == []
+
+
+def test_membership_charts_at_infinity():
+    # (2 : 1 : 0) has I_P = (x - 2y, z); (1 : 0 : 0) has I_P = (y, z)
+    H = PointSet([P(2, 1, 0)])
+    assert symbolic_power_membership((x - 2 * y) * z, H, 2)
+    assert symbolic_power_membership((x - 2 * y) ** 3 + z**2 * y, H, 2)
+    assert not symbolic_power_membership((x - 2 * y) ** 3 + z * y**2, H, 2)
+    H = PointSet([P(1, 0, 0)])
+    assert symbolic_power_membership(x**5 * y * z + y**2, H, 2)
+    assert not symbolic_power_membership(x**5 * y + y**2, H, 2)
+    # membership is in the ideal (y, z), so x - 1 fails although it is 0 at (1, 0, 0)
+    assert not symbolic_power_membership(x - 1, H, 1)
+
+
+# --- order of vanishing against the Groebner route --------------------------------
+
+F5, F7 = PrimeField(5), PrimeField(7)
+Z3 = CyclotomicField(3)
+
+
+def _scalar(field, rnd):
+    if field is Q:
+        return Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+    c = field.from_int(rnd.randint(-3, 3))
+    if field is Z3:
+        c = field.add(c, field.mul(field.from_int(rnd.randint(-3, 3)), field.generator()))
+    return c
+
+
+def _random_points(field, rnd):
+    pts = []
+    for _ in range(rnd.randint(1, 3)):
+        chart = rnd.choice((2, 2, 2, 1, 0))   # (a : b : 1), (a : 1 : 0), (1 : 0 : 0)
+        a, b = _scalar(field, rnd), _scalar(field, rnd)
+        coords = [(a, b, 1), (a, 1, 0), (1, 0, 0)][2 - chart]
+        pt = ProjectivePoint(field, list(coords))
+        if pt not in pts:
+            pts.append(pt)
+    return PointSet(pts)
+
+
+def _random_poly(ring, rnd, max_deg):
+    terms = {}
+    for _ in range(rnd.randint(1, 6)):
+        d = rnd.randint(0, max_deg)
+        i = rnd.randint(0, d)
+        j = rnd.randint(0, d - i)
+        terms[(i, j, d - i - j)] = _scalar(ring.field, rnd)
+    return Polynomial.from_dict(ring, terms)
+
+
+def _through(point, ring, rnd):
+    """A random linear form vanishing at the point."""
+    gens = defining_ideal(point, ring).generators
+    return sum((g.scale(_scalar(ring.field, rnd)) for g in gens), ring.zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, Z3, F5, F7]),
+       st.integers(1, 4), st.sampled_from(["random", "member", "boundary"]))
+def test_membership_matches_groebner_oracle(rnd, field, r, kind):
+    ring = base_ring(field)
+    H = _random_points(field, rnd)
+    xi = _random_poly(ring, rnd, 4)
+    if kind != "random":
+        # a product of r (or r - 1) lines through each point lies in I_H^(r)
+        # (or usually just misses it); the random factor keeps it generic
+        for pt in H:
+            for _ in range(r if kind == "member" else r - 1):
+                xi = xi * _through(pt, ring, rnd)
+    cache = PointPowerCache(ring)
+    expected = all(cache.basis(pt, r).contains(xi) for pt in H)
+    assert symbolic_power_membership(xi, H, r) == expected
+    if kind == "member":
+        assert expected

@@ -87,6 +87,61 @@ def test_genericity_exhausted_over_tiny_field():
         pick_generic_linear_form(H, seed=0)
 
 
+def _plane(q):
+    return [(a, b, 1) for a in range(q) for b in range(q)] + [(a, 1, 0) for a in range(q)] + [(1, 0, 0)]
+
+
+def _meets(line, point, q):
+    return sum(a * b for a, b in zip(line, point)) % q == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([5, 7]), st.booleans())
+def test_linear_form_found_exactly_when_a_line_avoids_the_points(rnd, q, with_line):
+    # point sets of 2q to 4q points often leave only a few avoiding lines,
+    # which the seeded draws miss and the enumeration must find; a whole line
+    # in H meets every other line, so nothing avoids it
+    plane = _plane(q)
+    coords = set(rnd.sample(plane, rnd.randint(2 * q, 4 * q)))
+    if with_line:
+        line = rnd.choice(plane)
+        coords |= {pt for pt in plane if _meets(line, pt, q)}
+    exists = any(not any(_meets(line, pt, q) for pt in coords) for line in plane)
+    F = PrimeField(q)
+    H = PointSet([ProjectivePoint(F, list(pt)) for pt in sorted(coords)])
+    try:
+        u = pick_generic_linear_form(H, seed=rnd.randint(0, 999))
+    except GenericityExhaustedError:
+        assert not exists
+    else:
+        assert exists
+        assert u.colength == len(H)
+        assert not any(F.is_zero(u.polynomial.evaluate(pt.coords)) for pt in H)
+
+
+@pytest.mark.parametrize("line", [(0, 1, 0), (1, 0, 0)], ids=["y", "x"])
+def test_linear_form_enumeration_includes_the_lines_through_0_0_1(line):
+    # H is every point of the plane over F_3 off the line, so that line is the
+    # only one avoiding H; seed 89 misses it in all 32 draws
+    q = 3
+    F = PrimeField(q)
+    H = PointSet([ProjectivePoint(F, list(pt)) for pt in _plane(q) if not _meets(line, pt, q)])
+    u = pick_generic_linear_form(H, seed=89)
+    assert u.draws >= verifier.GENERIC_FORM_DRAWS
+    assert u.int_coefficients == line
+
+
+def test_linear_form_enumeration_keeps_the_seeded_draws():
+    # over F_13, seed 53 exhausts its 32 draws on fermat-4 and the enumeration
+    # supplies a line; seed 0 finds one among its draws, as before
+    cfg = fermat(4, field=PrimeField(13, root_order=4))
+    ideal = cfg.points_ideal()
+    late = pick_generic_linear_form(cfg.points, seed=53, ideal=ideal)
+    assert late.draws >= verifier.GENERIC_FORM_DRAWS
+    early = pick_generic_linear_form(cfg.points, seed=0, ideal=ideal)
+    assert early.draws < verifier.GENERIC_FORM_DRAWS
+
+
 # --- local length -----------------------------------------------------------------
 
 
@@ -130,6 +185,26 @@ def test_local_length_infinite_certificate():
     assert local_length_at_origin(Ideal([a**2, a * b], ring=S2), cap=16) == (INFINITE, None)
     # the line x = 0 through the origin and the line y = -1 away from it
     assert local_length_at_origin(Ideal([a * (1 + b)], ring=S2), cap=16) == (INFINITE, None)
+
+
+def test_infinite_gate_runs_only_after_a_run_without_certificate(monkeypatch):
+    from symrees.polynomials import PolyRing
+
+    S2 = PolyRing(Q, ("x", "y"))
+    a, b = S2.var("x"), S2.var("y")
+    runs, gates = [], []
+    lead = verifier.lead_monomial_basis
+    krull = Ideal.krull_dimension
+    monkeypatch.setattr(verifier, "lead_monomial_basis",
+                        lambda *args, **kw: runs.append(kw["truncate_degree"]) or lead(*args, **kw))
+    monkeypatch.setattr(Ideal, "krull_dimension", lambda self: gates.append(1) or krull(self))
+    # certified by the first run (N' = 4, certificate at degree 3): no gate
+    assert local_length_at_origin(Ideal([a**2, b**2], ring=S2), cap=16, target=4) == (4, 4)
+    assert (runs, gates) == ([4], [])
+    # an INFINITE J pays one run at the first N', then the gate decides
+    runs.clear()
+    assert local_length_at_origin(Ideal([a**2], ring=S2), cap=16) == (INFINITE, None)
+    assert runs == [2] and gates == [1]
 
 
 def test_local_length_component_away_from_origin():
@@ -418,7 +493,8 @@ def test_modular_step_declines_when_p_divides_a_coefficient(monkeypatch):
     assert local_length_at_origin(Ideal([f, g], ring=S2), cap=16) == (3, 4)
     T, c, d = _two_variable_ring(PrimeField(p))
     assert local_length_at_origin(Ideal([d**2, c**2 + d**3], ring=T), cap=16)[0] == 4
-    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 3) is None
+    # L_p = 4 > 3 proves nothing, but it bounds the exact run
+    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 3)[0] == 4
     # the route falls back to the exact run: three points, rhs = 1 * 1 * 3
     pts = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
     rep = _route_with_pair(monkeypatch, pts, WitnessPair(x * y, 1, y * z, 1), f, g)
@@ -451,6 +527,28 @@ def test_modular_step_declines_on_a_generator_in_the_prime():
     J = Ideal([a * S2.constant(in_prime), b], ring=S2)
     assert local_length_at_origin(J, cap=16, target=1)[0] == 1
     assert _local_length_mod_prime(J, 16, 1) is None
+
+
+def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
+    # L_p = 320 > rhs = 304 proves the char-0 length finite (L <= L_p), so the
+    # exact route runs without the INFINITE gate, with N' at most L_p + 1
+    cfg = fermat(4)
+    w = cfg.witnesses
+    perturbed = WitnessPair(w.xi1 * cfg.ring.var("x"), w.r1, w.xi2, w.r2)
+    ideal = cfg.points_ideal()
+    u = pick_generic_linear_form(cfg.points, seed=0, ideal=ideal)
+    characteristics = []
+    krull = Ideal.krull_dimension
+
+    def counted(self):
+        characteristics.append(self.ring.field.characteristic)
+        return krull(self)
+
+    monkeypatch.setattr(Ideal, "krull_dimension", counted)
+    rep = check_condition_by_length(cfg.points, perturbed, u=u, ideal=ideal)
+    assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
+    assert rep.verdict == VERDICT_NOT_ESTABLISHED
+    assert 0 not in characteristics
 
 
 def test_modular_length_below_rhs_is_a_bug():

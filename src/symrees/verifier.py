@@ -12,15 +12,18 @@ The local length is computed from one m-adically truncated standard basis of
 J + m^N' under the local order DS: its standard monomials, counted by degree,
 give every colength dim S/(J + m^N) with N <= N', and the first degree d with
 none certifies by Nakayama that colength(d) is the exact local length.  N'
-grows only when no such degree lies below it.
+grows only when no such degree lies below it, and only then is J tested for
+an infinite length.
 
 Over Q or Q(zeta_n) the length is first proved modulo a degree-one prime P
 of Z[zeta_n] over p >= 2^30.  M_N = O_P[x,y]/(f, g, m^N) is a finitely
 generated module over the DVR O_P, so dim_K(J + m^N) <= dim_F_p(J_P + m^N)
 for every N and the char-0 length is at most the F_p length L_p; Huneke
 (Michigan Math. J. 34, 1987) gives lhs >= rhs, so L_p = rhs proves lhs = rhs.
-Any other L_p (an unlucky prime) falls back to the exact char-0 route, and
-``stable_at`` is the degree of whichever certificate proved the length.
+Any other L_p (an unlucky prime, or lhs > rhs) falls back to the exact
+char-0 route; a finite L_p still bounds that route (no infinite-length test,
+N' <= L_p + 1).  ``stable_at`` is the degree of whichever certificate proved
+the length.
 
 A verified criterion implies the symbolic Rees ring is finitely generated; a
 failed check proves nothing (the criterion is existential over witness pairs).

@@ -12,9 +12,15 @@ and stores the last JSON line each run prints.  It then times ``verify`` on
 fermat-5 over Q(zeta_5) and grid-2x3, which the benchmark's workloads leave
 out, taken by name from ``run_verifications.build_jobs``: K runs each, in
 this process, with the configuration built outside the timed region; it
-records the min and median seconds and each run's ``timings_ms``.  The file goes to the root of the
-checkout, with the Python version, ``nproc``, the git revision and K.
-Every timing is taken with ``time.perf_counter``.
+records the min and median seconds and each run's ``timings_ms``.  The
+``kernel`` block times single calls into the Groebner engine, K each, in this
+process, with their inputs built outside the timed region: one DS truncated
+run (``lead_monomial_basis`` on fermat-5 over F_31 with the seed-0 linear
+form at N' = KERNEL_TRUNCATION, the largest run of that verify) and one
+``points_ideal`` of the same configuration (many small bases, where set-up
+cost per call shows).  The file goes to the root of the checkout, with the
+Python version, ``nproc``, the git revision and K.  Every timing is taken
+with ``time.perf_counter``.
 """
 
 import argparse
@@ -31,6 +37,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 K = 5
 VERIFY_JOBS = ("fermat-5", "grid-2x3")
+KERNEL_TRUNCATION = 58
 
 
 def git_rev():
@@ -67,6 +74,34 @@ def time_verify(make, k):
             "runs_s": seconds, "timings_ms": timings}
 
 
+def kernel_calls(jobs):
+    """The kernel block's calls, keyed by name, with their inputs built."""
+    from symrees.groebner import lead_monomial_basis
+    from symrees.points import points_ideal
+    from symrees.polynomials import DS
+    from symrees.verifier import _eliminate_along, _truncation_inputs, pick_generic_linear_form
+
+    cfg = jobs["fermat-5-f31"]()
+    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    w = cfg.witnesses
+    xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
+    gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
+    return {
+        "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
+            gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
+        "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
+    }
+
+
+def time_call(call, k):
+    seconds = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - t0)
+    return {"min_s": min(seconds), "median_s": statistics.median(seconds), "runs_s": seconds}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("label", help="names the output file BENCH_<label>.json")
@@ -82,6 +117,7 @@ def main():
                  "git_rev": git_rev(), "k": K, "seed": SEED, "seconds": seconds},
         "perfbench": {},
         "verify": {},
+        "kernel": {},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
         for trace in (0, 1):
@@ -92,6 +128,9 @@ def main():
     for name in VERIFY_JOBS:
         print(f"verify {name} x{K} ...", flush=True)
         out["verify"][name] = time_verify(jobs[name], K)
+    for name, call in kernel_calls(jobs).items():
+        print(f"kernel {name} x{K} ...", flush=True)
+        out["kernel"][name] = time_call(call, K)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")

@@ -15,7 +15,6 @@ from .groebner import (
     GroebnerBasis,
     normal_form,
     reduced_groebner_basis,
-    s_polynomial,
 )
 from .ideals import INFINITE, Ideal, intersect_all
 from .parsing import parse_polynomial, parse_scalar

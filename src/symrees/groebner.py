@@ -1,10 +1,17 @@
-"""Buchberger's algorithm: S-polynomials, normal forms, reduced Groebner bases.
+"""Buchberger's algorithm: normal forms and reduced Groebner bases.
 
-The engine works on plain term lists (exponent tuple, scalar) sorted in
-descending monomial order, with a per-computation key cache so order keys are
-built once per monomial.  Coefficient growth over Q and Q(zeta_n) is tamed by
-rescaling every new basis element to integer content 1; prime-field runs make
-elements monic instead.
+Inside the engine a monomial is one Python int (``_Packing``): the order key
+in the high bits, the exponents and the total degree in guarded fixed-width
+fields in the low bits.  A term is a ``(monomial, scalar)`` pair and a
+polynomial a list of terms in descending order.  Comparing two monomials is
+comparing two ints, multiplying by a monomial is one addition, and testing
+divisibility is one subtraction and one mask.  Exponent tuples are packed
+when a computation starts and unpacked only in its results.  Every monomial
+a computation keeps has total degree at most ``MAX_DEGREE``; one that would
+go past it raises BudgetExceededError instead of wrapping a field.
+
+Coefficient growth over Q and Q(zeta_n) is tamed by rescaling every new basis
+element to integer content 1; prime-field runs make elements monic instead.
 
 One division loop, ``_reduce``, serves S-pair reduction, interreduction and
 ``normal_form``.  It returns only the remainder; no caller needs quotients
@@ -26,15 +33,19 @@ the m-primary ideal.
 from __future__ import annotations
 
 import heapq
+import operator
 
-from .errors import EmptyIdealError, InputError, VariableMismatchError, ZeroPolynomialError
-from .polynomials import (
-    GREVLEX,
-    Polynomial,
-    mono_degree,
-    mono_divides,
-    mono_lcm,
+from .errors import (
+    BudgetExceededError,
+    EmptyIdealError,
+    InputError,
+    VariableMismatchError,
+    ZeroPolynomialError,
 )
+from .polynomials import GREVLEX, Polynomial
+
+EXP_BITS = 16                             # width of each exponent and degree field
+MAX_DEGREE = (1 << (EXP_BITS - 1)) - 1    # the top bit of an exponent field is its guard
 
 
 class GroebnerBasis:
@@ -42,11 +53,11 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polynomials", "lead_monomials")
 
-    def __init__(self, ring, order, polynomials):
+    def __init__(self, ring, order, polynomials, lead_monomials):
         self.ring = ring
         self.order = order
         self.polynomials = tuple(polynomials)
-        self.lead_monomials = tuple(p.lead_term(order)[0] for p in self.polynomials)
+        self.lead_monomials = tuple(lead_monomials)
 
     def __iter__(self):
         return iter(self.polynomials)
@@ -67,40 +78,90 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.order!r}, {len(self.polynomials)} elements)"
 
 
-def _key_cache(order):
-    cache = {}
-    okey = order.key
+class _Packing:
+    """The monomials of one computation (ring, order and degree cap) as ints.
 
-    def key(m):
-        k = cache.get(m)
-        if k is None:
-            k = okey(m)
-            cache[m] = k
-        return k
+    Fields, from the low bits up: the n exponents and the total degree,
+    EXP_BITS wide each, then one field of EXP_BITS + 1 bits per weight row of
+    the order, the first row highest, holding the row's dot product plus
+    2^EXP_BITS.  Packing is linear up to that offset, ``zero`` = pack(1), so
+    pack(a*b) = pack(a) + pack(b) - zero, pack(a) - pack(b) is the shift that
+    multiplies by a/b, and comparing packed ints compares the order keys (the
+    low fields break no tie: equal keys mean equal monomials).
 
-    return key
+    A kept monomial has degree <= MAX_DEGREE, so the top bit of each of its
+    exponent fields is clear.  In m - lm a field where lm exceeds m borrows
+    and sets that bit, so lm divides m iff (m - lm) & guard == 0.  A product
+    or lcm of two kept monomials has degree <= 2 * MAX_DEGREE and still fits
+    every field (weight rows have entries in {-1, 0, 1}), so the degree
+    compare that drops or rejects it reads its true degree.
+    """
+
+    __slots__ = ("nvars", "cap", "zero", "units", "guard", "deg_mask", "top")
+
+    def __init__(self, order, nvars, cap=None):
+        if cap is not None and cap > MAX_DEGREE:
+            raise BudgetExceededError(
+                f"truncation degree {cap} exceeds the packed degree limit {MAX_DEGREE}")
+        w = EXP_BITS
+        rows = order.weights(nvars)
+        low = (nvars + 1) * w
+        places = [low + (w + 1) * (len(rows) - 1 - r) for r in range(len(rows))]
+        self.nvars = nvars
+        self.cap = cap
+        self.zero = sum(1 << (p + w) for p in places)
+        self.units = tuple(
+            (1 << (i * w)) + (1 << (nvars * w)) + sum(row[i] << p for row, p in zip(rows, places))
+            for i in range(nvars)
+        )
+        self.guard = sum(1 << (i * w + w - 1) for i in range(nvars))
+        self.deg_mask = ((1 << w) - 1) << (nvars * w)
+        self.top = (MAX_DEGREE if cap is None else cap) << (nvars * w)
+
+    def pack(self, expo):
+        return self.zero + sum(map(operator.mul, expo, self.units))
+
+    def unpack(self, m):
+        w, mask = EXP_BITS, (1 << EXP_BITS) - 1
+        return tuple((m >> (i * w)) & mask for i in range(self.nvars))
 
 
-def _prepare(poly, key, cap=None):
-    """Descending term list; with a cap, terms of degree > cap are dropped."""
-    items = poly.terms.items()
-    if cap is not None:
-        items = [(m, c) for m, c in items if sum(m) <= cap]
-    return sorted(items, key=lambda t: key(t[0]), reverse=True)
+def _too_high():
+    """The error for a monomial past MAX_DEGREE in a run without a cap."""
+    return BudgetExceededError(
+        f"a monomial of degree above {MAX_DEGREE} overflows the packed exponent fields")
 
 
-def _shifted(terms, shift, key, cap, scale=None, field=None):
-    """Descending list of x^shift * terms, optionally scaled, cap-filtered."""
+def _prepare(poly, pk):
+    """Descending packed term list; under a cap, terms of degree > cap are dropped."""
+    items = []
+    for m, c in poly.terms.items():
+        d = sum(m)
+        if pk.cap is not None and d > pk.cap:
+            continue
+        if d > MAX_DEGREE:
+            raise _too_high()
+        items.append((pk.pack(m), c))
+    items.sort(key=operator.itemgetter(0), reverse=True)
+    return items
+
+
+def _shifted(terms, shift, pk, scale=None, field=None):
+    """Descending list of the terms times the monomial shift, optionally
+    scaled; past the cap a term is dropped, past MAX_DEGREE it raises."""
     out = []
+    deg, top = pk.deg_mask, pk.top
     for m, c in terms:
-        mm = tuple(a + b for a, b in zip(m, shift))
-        if cap is not None and sum(mm) > cap:
+        mm = m + shift
+        if mm & deg > top:
+            if pk.cap is None:
+                raise _too_high()
             continue
         out.append((mm, c if scale is None else field.mul(scale, c)))
     return out
 
 
-def _merge(a, b, field, key):
+def _merge(a, b, field):
     """Sum of two descending term lists."""
     out = []
     ia = ib = 0
@@ -109,11 +170,10 @@ def _merge(a, b, field, key):
     while ia < na and ib < nb:
         ma, ca = a[ia]
         mb, cb = b[ib]
-        ka, kb = key(ma), key(mb)
-        if ka > kb:
+        if ma > mb:
             out.append(a[ia])
             ia += 1
-        elif kb > ka:
+        elif mb > ma:
             out.append(b[ib])
             ib += 1
         else:
@@ -133,7 +193,7 @@ def _check_order(order, cap=None):
         raise InputError(f"the local order {order!r} needs a truncate_degree")
 
 
-def _reduce(terms, reducers, field, key, cap=None):
+def _reduce(terms, reducers, field, pk):
     """Normal form of a descending term list against prepared reducers.
 
     ``reducers`` holds triples (lead_mono, lead_coeff, term_list).  A term is
@@ -152,35 +212,27 @@ def _reduce(terms, reducers, field, key, cap=None):
     mul, neg = field.mul, field.neg
     char0 = field.characteristic == 0
     scalings = 0
+    guard = pk.guard
     while start < len(work):
         m, c = work[start]
-        hit = -1
-        for idx, red in enumerate(reducers):
-            lm = red[0]
-            ok = True
-            for x, y in zip(lm, m):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                hit = idx
+        for red in reducers:
+            if not (m - red[0]) & guard:
                 break
-        if hit < 0:
+        else:
             rem.append(work[start])
             start += 1
             continue
-        lm, lc, gterms = reducers[hit]
+        lm, lc, gterms = red
         if len(gterms) == 1:
             start += 1  # the term is a multiple of a monomial generator: it just dies
             continue
-        shift = tuple(x - y for x, y in zip(m, lm))
         tail = work[start + 1:]
         if lc != one:
             rem = [(mm, mul(cc, lc)) for mm, cc in rem]
             tail = [(mm, mul(cc, lc)) for mm, cc in tail]
             scalings += 1
-        sub = _shifted(gterms[1:], shift, key, cap, scale=neg(c), field=field)
-        work = _merge(tail, sub, field, key)
+        sub = _shifted(gterms[1:], m - lm, pk, scale=neg(c), field=field)
+        work = _merge(tail, sub, field)
         start = 0
         if char0 and scalings >= 8:
             scalings = 0
@@ -188,22 +240,6 @@ def _reduce(terms, reducers, field, key, cap=None):
             rem = combined[: len(rem)]
             work = combined[len(rem):]
     return rem
-
-
-def s_polynomial(f, g, order=GREVLEX):
-    """(lcm/lt f)*f - (lcm/lt g)*g; the lead terms cancel by construction."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomialError("S-polynomial of a zero polynomial")
-    if f.ring != g.ring:
-        raise VariableMismatchError("S-polynomial operands over different rings")
-    ring = f.ring
-    field = ring.field
-    lmf, lcf = f.lead_term(order)
-    lmg, lcg = g.lead_term(order)
-    l = mono_lcm(lmf, lmg)
-    mf = ring.monomial(tuple(a - b for a, b in zip(l, lmf)), field.inv(lcf))
-    mg = ring.monomial(tuple(a - b for a, b in zip(l, lmg)), field.inv(lcg))
-    return mf * f - mg * g
 
 
 def normal_form(f, basis, order=GREVLEX):
@@ -221,21 +257,16 @@ def normal_form(f, basis, order=GREVLEX):
     _check_order(order)
     field = polys[0].ring.field
     one, mul = field.one, field.mul
-    key = _key_cache(order)
+    pk = _Packing(order, f.ring.nvars)
     reducers = []
     for p in polys:
-        items = _prepare(p, key)
+        items = _prepare(p, pk)
         if items[0][1] != one:
             inv = field.inv(items[0][1])
             items = [(m, mul(c, inv)) for m, c in items]
         reducers.append((items[0][0], one, items))
-    rem = _reduce(_prepare(f, key), reducers, field, key)
-    return Polynomial(f.ring, dict(rem))
-
-
-def _poly_sort_key(items, key):
-    # canonical tie-break so the initial basis never depends on input order
-    return tuple((key(m), c) for m, c in items)
+    rem = _reduce(_prepare(f, pk), reducers, field, pk)
+    return Polynomial(f.ring, {pk.unpack(m): c for m, c in rem})
 
 
 def _normalize_element(items, field):
@@ -251,9 +282,9 @@ def _normalize_element(items, field):
 
 
 def _completed_basis(generators, order, cap):
-    """Run Buchberger to completion; returns (ring, field, key, basis) where
-    basis entries are (lead_mono, lead_coeff, terms) and every S-pair reduces
-    to zero.  Not yet minimal or interreduced."""
+    """Run Buchberger to completion; returns (ring, field, packing, basis)
+    where basis entries are (lead_mono, lead_coeff, terms) and every S-pair
+    reduces to zero.  Not yet minimal or interreduced."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise EmptyIdealError("all generators are zero")
@@ -263,39 +294,45 @@ def _completed_basis(generators, order, cap):
             raise VariableMismatchError("generators over different rings")
     _check_order(order, cap)
     field = ring.field
-    key = _key_cache(order)
+    pk = _Packing(order, ring.nvars, cap)
 
     prepared = []
     for g in gens:
-        items = _prepare(g, key, cap)
+        items = _prepare(g, pk)
         if items:
             prepared.append(_normalize_element(items, field))
     if not prepared:
         raise EmptyIdealError("all generators vanished under the degree cap")
-    prepared.sort(key=lambda it: _poly_sort_key(it, key))
+    # canonical tie-break so the initial basis never depends on input order
+    prepared.sort()
     deduped = [prepared[0]]
     for it in prepared[1:]:
         if it != deduped[-1]:
             deduped.append(it)
 
     basis = []       # (lead_mono, lead_coeff, terms)
+    exponents = []   # the lead exponent tuples, for the lcms
     pending = set()  # unordered index pairs awaiting treatment
-    heap = []
+    heap = []        # (degree field of the lcm, lcm, i, j)
+    pack, unpack, zero = pk.pack, pk.unpack, pk.zero
+    guard, deg = pk.guard, pk.deg_mask
 
     def add_element(items):
         lm = items[0][0]
+        e = unpack(lm)
         j = len(basis)
         basis.append((lm, items[0][1], items))
         for i in range(j):
-            l = mono_lcm(basis[i][0], lm)
-            heapq.heappush(heap, (mono_degree(l), key(l), i, j))
+            l = pack(map(max, exponents[i], e))
+            heapq.heappush(heap, (l & deg, l, i, j))
             pending.add((i, j))
+        exponents.append(e)
 
     for items in deduped:
         add_element(items)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, l, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -303,9 +340,8 @@ def _completed_basis(generators, order, cap):
         lmj, lcj, tj = basis[j]
         if len(ti) == 1 and len(tj) == 1:
             continue  # S-polynomial of two monomials is identically zero
-        l = mono_lcm(lmi, lmj)
         # product criterion: coprime lead monomials reduce to zero
-        if all(a + b == c for a, b, c in zip(lmi, lmj, l)):
+        if l == lmi + lmj - zero:
             continue
         # chain criterion: a third lead divides the lcm and both side pairs
         # have already been treated
@@ -313,7 +349,7 @@ def _completed_basis(generators, order, cap):
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if mono_divides(basis[k][0], l):
+            if not (l - basis[k][0]) & guard:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -321,27 +357,27 @@ def _completed_basis(generators, order, cap):
                     break
         if skip:
             continue
-        ui = tuple(a - b for a, b in zip(l, lmi))
-        uj = tuple(a - b for a, b in zip(l, lmj))
         if lcj == field.one:
-            left = _shifted(ti, ui, key, cap)
+            left = _shifted(ti, l - lmi, pk)
         else:
-            left = _shifted(ti, ui, key, cap, scale=lcj, field=field)
-        right = _shifted(tj, uj, key, cap, scale=field.neg(lci), field=field)
-        s = _merge(left, right, field, key)
-        rem = _reduce(s, basis, field, key, cap)
+            left = _shifted(ti, l - lmi, pk, scale=lcj, field=field)
+        right = _shifted(tj, l - lmj, pk, scale=field.neg(lci), field=field)
+        s = _merge(left, right, field)
+        rem = _reduce(s, basis, field, pk)
         if rem:
             add_element(_normalize_element(rem, field))
-    return ring, field, key, basis
+    return ring, field, pk, basis
 
 
-def _minimalize_basis(basis, key):
+def _minimalize_basis(basis, pk):
     """Drop elements whose lead is divisible by another lead."""
-    basis = sorted(basis, key=lambda b: (mono_degree(b[0]), key(b[0])))
+    deg, guard = pk.deg_mask, pk.guard
+    basis = sorted(basis, key=lambda b: (b[0] & deg, b[0]))
     minimal = []
-    for lm, lc, items in basis:
-        if not any(mono_divides(kept[0], lm) for kept in minimal):
-            minimal.append((lm, lc, items))
+    for entry in basis:
+        lm = entry[0]
+        if all((lm - kept[0]) & guard for kept in minimal):
+            minimal.append(entry)
     return minimal
 
 
@@ -349,8 +385,8 @@ def lead_monomial_basis(generators, order=GREVLEX, truncate_degree=None):
     """Minimal generating monomials of the lead-term ideal, skipping the tail
     interreduction a reduced basis would pay for; enough for dimension and
     standard-monomial counting."""
-    _, _, key, basis = _completed_basis(generators, order, truncate_degree)
-    return tuple(b[0] for b in _minimalize_basis(basis, key))
+    _, _, pk, basis = _completed_basis(generators, order, truncate_degree)
+    return tuple(pk.unpack(b[0]) for b in _minimalize_basis(basis, pk))
 
 
 def reduced_groebner_basis(generators, order=GREVLEX):
@@ -360,26 +396,25 @@ def reduced_groebner_basis(generators, order=GREVLEX):
     Buchberger's product and chain criteria.  Deterministic: the result is
     independent of generator permutation.
     """
-    ring, field, key, basis = _completed_basis(generators, order, None)
-    minimal = _minimalize_basis(basis, key)
+    ring, field, pk, basis = _completed_basis(generators, order, None)
+    minimal = _minimalize_basis(basis, pk)
 
     # interreduce tails in one pass: no lead monomial changes, so a tail
     # reduced against the leads stays reduced
     for idx in range(len(minimal)):
         items = minimal[idx][2]
         others = minimal[:idx] + minimal[idx + 1:]
-        red = _reduce(items, others, field, key)
+        red = _reduce(items, others, field, pk)
         if red != items:
             red = _normalize_element(red, field)
             minimal[idx] = (red[0][0], red[0][1], red)
 
+    minimal.sort(key=operator.itemgetter(0))
     final = []
     for lm, lc, items in minimal:
-        lc = items[0][1]
         if lc != field.one:
             inv = field.inv(lc)
             mul = field.mul
             items = [(m, mul(c, inv)) for m, c in items]
-        final.append(Polynomial(ring, dict(items)))
-    final.sort(key=lambda p: key(p.lead_term(order)[0]))
-    return GroebnerBasis(ring, order, final)
+        final.append(Polynomial(ring, {pk.unpack(m): c for m, c in items}))
+    return GroebnerBasis(ring, order, final, (pk.unpack(b[0]) for b in minimal))

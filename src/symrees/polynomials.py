@@ -8,6 +8,9 @@ mutated after construction.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .errors import (
     FieldMismatchError,
     InputError,
@@ -26,18 +29,15 @@ def mono_divides(a, b):
     return True
 
 
-def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_degree(a):
-    return sum(a)
-
-
 # --- monomial orders -----------------------------------------------------------
 
 class MonomialOrder:
-    """Total multiplicative order on exponent tuples.
+    """Total multiplicative order on exponent tuples, given by integer weight rows.
+
+    ``weights(nvars)`` returns rows with entries in {-1, 0, 1}: a > b when a
+    has the larger dot product with the first row on which the two differ.
+    ``key`` is that tuple of dot products, and the Groebner engine packs the
+    same rows into its integer monomials, so the order is defined once.
 
     Global orders (grevlex, lex, block) are well-orders with 1 minimal.  A
     local order (``is_local``, here only DS) has 1 maximal: it is a well-order
@@ -48,15 +48,11 @@ class MonomialOrder:
     kind = "?"
     is_local = False
 
-    def key(self, expo):
+    def weights(self, nvars):
         raise NotImplementedError
 
-    def compare(self, a, b):
-        """-1, 0 or 1 as a <, =, > b."""
-        if len(a) != len(b):
-            raise VariableMismatchError("monomials over different variable lists")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+    def key(self, expo):
+        return tuple([sum(map(operator.mul, row, expo)) for row in _weight_rows(self, len(expo))])
 
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
@@ -68,28 +64,50 @@ class MonomialOrder:
         return self.kind
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_rows(order, nvars):
+    return order.weights(nvars)
+
+
+def _unit_row(nvars, i, sign=1):
+    return tuple(sign if j == i else 0 for j in range(nvars))
+
+
+def _graded_rows(nvars, sign):
+    """The total degree times ``sign``, then the exponents from the last
+    variable on, negated.  The first variable gets no row: the others and the
+    degree determine it."""
+    if not nvars:
+        return ()
+    return (tuple([sign] * nvars),) + tuple(
+        _unit_row(nvars, i, -1) for i in range(nvars - 1, 0, -1))
+
+
 class GrevlexOrder(MonomialOrder):
-    """Graded reverse lexicographic; with variables (x, y, z) one has x > y > z."""
+    """Graded reverse lexicographic; with variables (x, y, z) one has x > y > z.
+    Rows: the degree, then -e_n, ..., -e_2."""
 
     kind = "grevlex"
 
-    def key(self, expo):
-        return (sum(expo), tuple(-e for e in reversed(expo)))
+    def weights(self, nvars):
+        return _graded_rows(nvars, 1)
 
 
 class LexOrder(MonomialOrder):
-    """Pure lexicographic on the variable list, ignoring total degree."""
+    """Pure lexicographic on the variable list, ignoring total degree.
+    Rows: e_1, ..., e_n."""
 
     kind = "lex"
 
-    def key(self, expo):
-        return expo
+    def weights(self, nvars):
+        return tuple(_unit_row(nvars, i) for i in range(nvars))
 
 
 class BlockOrder(MonomialOrder):
     """Elimination order: the trailing ``n_elim`` variables dominate.
 
-    Both blocks are compared grevlex among themselves.  Any monomial
+    Both blocks are compared grevlex among themselves: the grevlex rows of the
+    trailing block come first, then those of the leading block.  Any monomial
     involving an elimination variable is larger than every monomial free of
     them, which is what makes a reduced basis split off the eliminated part.
     """
@@ -101,10 +119,16 @@ class BlockOrder(MonomialOrder):
             raise InputError("block order needs at least one elimination variable")
         self.n_elim = n_elim
 
-    def key(self, expo):
-        k = len(expo) - self.n_elim
-        head, tail = expo[:k], expo[k:]
-        return (GREVLEX.key(tail), GREVLEX.key(head))
+    def weights(self, nvars):
+        k = nvars - self.n_elim
+        rows = []
+        for block in (range(nvars)[k:], range(nvars)[:k]):
+            for sub in _graded_rows(len(block), 1):
+                row = [0] * nvars
+                for i, w in zip(block, sub):
+                    row[i] = w
+                rows.append(tuple(row))
+        return tuple(rows)
 
     def __repr__(self):
         return f"block({self.n_elim})"
@@ -113,13 +137,14 @@ class BlockOrder(MonomialOrder):
 class NegDegRevlexOrder(MonomialOrder):
     """Negative degree reverse lexicographic (Singular's ``ds``): lower total
     degree is larger, ties broken as in grevlex.  A local order, so the lead
-    term of a polynomial is taken among its lowest-degree terms."""
+    term of a polynomial is taken among its lowest-degree terms.  Rows: minus
+    the degree, then -e_n, ..., -e_2."""
 
     kind = "ds"
     is_local = True
 
-    def key(self, expo):
-        return (-sum(expo), tuple(-e for e in reversed(expo)))
+    def weights(self, nvars):
+        return _graded_rows(nvars, -1)
 
 
 GREVLEX = GrevlexOrder()

@@ -22,8 +22,8 @@ for every N and the char-0 length is at most the F_p length L_p; Huneke
 (Michigan Math. J. 34, 1987) gives lhs >= rhs, so L_p = rhs proves lhs = rhs.
 Any other L_p (an unlucky prime, or lhs > rhs) falls back to the exact
 char-0 route; a finite L_p still bounds that route (no infinite-length test,
-N' <= L_p + 1).  ``stable_at`` is the degree of whichever certificate proved
-the length.
+N' <= L_p + 1), whose first run is at the F_p certificate degree.
+``stable_at`` is the degree of whichever certificate proved the length.
 
 A verified criterion implies the symbolic Rees ring is finitely generated; a
 failed check proves nothing (the criterion is existential over witness pairs).
@@ -226,25 +226,24 @@ def _local_standard_counts(gens, ring, n):
     return [_standard_count(leads, ring.nvars, d) for d in range(n)]
 
 
-def _truncated_colength(gens, ring, n):
-    """dim_K S/(J + m^N) from one grevlex run; the reference the local-order
-    route is tested against."""
-    leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), truncate_degree=n)
-    return sum(_standard_count(leads, ring.nvars, d) for d in range(n))
-
-
-def _certificate_runs(gens, ring, cap, target):
-    """One DS run per N', growing from the first N' up to ``cap``; yields the
-    certified ``(length, stable_at)`` of each run, or None when it has no
-    certificate, and raises CapExceededError after a run at the cap without
-    one."""
-    if cap < 3:
-        raise InputError("the truncation cap must be at least 3")
+def _first_truncation(target):
+    """The first N' for an expected length ``target``: a colength of target
+    in two variables needs d(d+1)/2 >= target, so one above the least such d."""
     n = 2
     if target is not None:
         while (n - 1) * n // 2 < target:
             n += 1
-    n = min(n, cap)
+    return n
+
+
+def _certificate_runs(gens, ring, cap, first):
+    """One DS run per N', growing from N' = ``first`` up to ``cap``; yields
+    the certified ``(length, stable_at)`` of each run, or None when it has no
+    certificate, and raises CapExceededError after a run at the cap without
+    one."""
+    if cap < 3:
+        raise InputError("the truncation cap must be at least 3")
+    n = min(first, cap)
     while True:
         counts = _local_standard_counts(gens, ring, n)
         if 0 in counts:
@@ -313,17 +312,17 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return INFINITE, None
-    for run, found in enumerate(_certificate_runs(gens, ring, cap, target)):
+    for run, found in enumerate(_certificate_runs(gens, ring, cap, _first_truncation(target))):
         if found is not None:
             return found
         if run == 0 and _meets_positive_dimension(Ideal(gens, ring=ring)):
             return INFINITE, None
 
 
-def _finite_local_length(J: Ideal, cap: int, target: int):
+def _finite_local_length(J: Ideal, cap: int, first: int):
     """``local_length_at_origin`` for a J whose local length is already known
-    to be finite: the same runs, without the INFINITE gate."""
-    return next(found for found in _certificate_runs(J.generators, J.ring, cap, target)
+    to be finite: the same runs from N' = ``first``, without the INFINITE gate."""
+    return next(found for found in _certificate_runs(J.generators, J.ring, cap, first)
                 if found is not None)
 
 
@@ -484,8 +483,10 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
             lhs, stable_at = found
         else:
             # L <= L_p is finite, and its certificate degree d <= L <= L_p
-            # lies below N' = L_p + 1
-            lhs, stable_at = _finite_local_length(J, min(cap, found[0] + 1), rhs)
+            # lies below N' = L_p + 1.  The first run is at the F_p stable_at,
+            # where a good prime certifies too; the counts below N' do not
+            # depend on N', so growing N' after it cannot move stable_at.
+            lhs, stable_at = _finite_local_length(J, min(cap, found[0] + 1), found[1])
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:

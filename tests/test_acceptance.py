@@ -10,11 +10,12 @@ import time
 
 import pytest
 
+from helpers import compare, s_polynomial
 from symrees.cli import EXIT_NOT_ESTABLISHED, run
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import GenericityExhaustedError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
-from symrees.groebner import normal_form, reduced_groebner_basis, s_polynomial
+from symrees.groebner import normal_form, reduced_groebner_basis
 from symrees.ideals import INFINITE, Ideal
 from symrees.parsing import parse_polynomial
 from symrees.points import (
@@ -382,11 +383,11 @@ def test_criterion_8_randomized_kernel_suites():
             a = tuple(rng.randint(0, 5) for _ in range(4))
             b = tuple(rng.randint(0, 5) for _ in range(4))
             c = tuple(rng.randint(0, 5) for _ in range(4))
-            cab = order.compare(a, b)
-            assert order.compare(b, a) == -cab
+            cab = compare(order, a, b)
+            assert compare(order, b, a) == -cab
             assert (cab == 0) == (a == b)
-            assert order.compare(tuple(map(sum, zip(a, c))), tuple(map(sum, zip(b, c)))) == cab
-            assert order.compare(a, (0, 0, 0, 0)) >= 0
+            assert compare(order, tuple(map(sum, zip(a, c))), tuple(map(sum, zip(b, c)))) == cab
+            assert compare(order, a, (0, 0, 0, 0)) >= 0
             cases += 1
 
     # Groebner: S-pairs reduce to zero and permutation invariance

@@ -167,6 +167,24 @@ def test_cap_exceeded_maps_to_exit_three(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_degree_past_the_packed_fields_maps_to_exit_three(tmp_path, capsys):
+    from symrees.cli import EXIT_RESOURCE
+    from symrees.groebner import MAX_DEGREE
+
+    # both witnesses lie in the ideals of the three points; the height of
+    # (xi1, xi2) needs a Groebner basis of a degree-(MAX_DEGREE + 2) form
+    # (over F_7, where the membership test of so long a form is cheap)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "kind": "custom",
+        "points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "witnesses": {"xi1": f"x^{MAX_DEGREE}*y*z", "r1": 1, "xi2": "x*y + y*z + x*z", "r2": 1},
+    }))
+    code = run(["verify-custom", "--input", str(cfgfile), "--char", "7"])
+    assert code == EXIT_RESOURCE
+    assert "degree" in capsys.readouterr().err
+
+
 def test_characteristic_without_root_rejected(capsys):
     # F_5 has no third root of unity, so fast mode cannot host the n = 3 grid
     assert run(["verify-fermat", "--n", "3", "--char", "5"]) == EXIT_INPUT_ERROR

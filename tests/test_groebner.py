@@ -2,14 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrees.errors import EmptyIdealError, ZeroPolynomialError
+from helpers import compare, reference_key, s_polynomial
+from symrees.errors import BudgetExceededError, EmptyIdealError, ZeroPolynomialError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.groebner import (
+    EXP_BITS,
+    MAX_DEGREE,
+    _Packing,
+    lead_monomial_basis,
     normal_form,
     reduced_groebner_basis,
-    s_polynomial,
 )
-from symrees.polynomials import GREVLEX, PolyRing, Polynomial
+from symrees.polynomials import DS, GREVLEX, LEX, BlockOrder, PolyRing, Polynomial, mono_divides
 
 Q = RationalField()
 R = PolyRing(Q)
@@ -171,3 +175,58 @@ def test_membership_iff_normal_form_zero(rnd):
             combo = combo + g * mults[0]
     if not combo.is_zero():
         assert normal_form(combo, gb).is_zero()
+
+
+# --- packed monomials ------------------------------------------------------------------
+
+@st.composite
+def _packed_case(draw):
+    """An order, a variable count and three exponent tuples of degree <= MAX_DEGREE."""
+    order = draw(st.sampled_from([GREVLEX, LEX, DS, BlockOrder(1), BlockOrder(2)]))
+    n = draw(st.integers(1, 5))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE // n))
+    expo = st.tuples(*[exponent] * n)
+    return order, n, draw(expo), draw(expo), draw(expo)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=200)
+@given(_packed_case())
+def test_packed_monomials_follow_the_order(case):
+    order, n, a, b, c = case
+    pk = _Packing(order, n)
+    pa, pb = pk.pack(a), pk.pack(b)
+    # the weight rows give the hand-written order, and int comparison gives both
+    cmp = compare(order, a, b)
+    assert _sign((reference_key(order, a) > reference_key(order, b))
+                 - (reference_key(order, a) < reference_key(order, b))) == cmp
+    assert _sign(pa - pb) == cmp
+    # a product is one addition, with the shift pack(b) - pack(1)
+    ab = tuple(u + v for u, v in zip(a, b))
+    assert pk.pack(ab) == pa + (pb - pk.zero)
+    assert _sign(pk.pack(ab) - pk.pack(tuple(u + v for u, v in zip(c, b)))) == compare(order, a, c)
+    # the guard test is divisibility, also against a multiple of the divisor
+    assert (not (pb - pa) & pk.guard) == mono_divides(a, b)
+    assert not (pk.pack(ab) - pa) & pk.guard
+    assert pk.unpack(pa) == a
+    assert (pa & pk.deg_mask) >> (n * EXP_BITS) == sum(a)
+
+
+def test_degree_past_the_packed_fields_raises():
+    with pytest.raises(BudgetExceededError):
+        reduced_groebner_basis([x ** (MAX_DEGREE + 1) + y])
+    # within the limit on input, but the S-pair shifts y^MAX by y
+    with pytest.raises(BudgetExceededError):
+        reduced_groebner_basis([x**MAX_DEGREE + y**MAX_DEGREE, x * y])
+    with pytest.raises(BudgetExceededError):
+        normal_form(x**MAX_DEGREE * y + z, [x * y - y**MAX_DEGREE])
+    with pytest.raises(BudgetExceededError):
+        lead_monomial_basis([x, y], order=DS, truncate_degree=MAX_DEGREE + 1)
+    # a monomial of degree exactly MAX_DEGREE is kept
+    assert normal_form(x**MAX_DEGREE, [x**MAX_DEGREE - y**MAX_DEGREE]) == y**MAX_DEGREE
+    # under a cap the same terms are dropped, not an error
+    assert lead_monomial_basis([x**MAX_DEGREE + y**MAX_DEGREE, x * y],
+                               truncate_degree=MAX_DEGREE) == ((1, 1, 0), (MAX_DEGREE, 0, 0))

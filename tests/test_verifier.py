@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import truncated_colength
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import (
     CapExceededError,
@@ -338,13 +339,13 @@ def test_local_length_against_component_split_oracle():
 
 
 def test_truncated_colengths_are_monotone_and_stay_flat():
-    from symrees.verifier import _eliminate_along, _truncated_colength
+    from symrees.verifier import _eliminate_along
 
     cfg = grid_example(2, 2)
     u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
     w = cfg.witnesses
     x1s, x2s = _eliminate_along(u, [w.xi1, w.xi2])
-    vals = [_truncated_colength([x1s, x2s], x1s.ring, n) for n in range(2, 22)]
+    vals = [truncated_colength([x1s, x2s], x1s.ring, n) for n in range(2, 22)]
     assert vals == sorted(vals)
     # once two consecutive values agree the sequence stays flat for good
     stable = next(i for i in range(1, len(vals)) if vals[i] == vals[i - 1])
@@ -360,9 +361,7 @@ def _local_colengths(gens, ring, n):
 
 
 def _grevlex_colengths(gens, ring, n):
-    from symrees.verifier import _truncated_colength
-
-    return [_truncated_colength(gens, ring, m) for m in range(1, n + 1)]
+    return [truncated_colength(gens, ring, m) for m in range(1, n + 1)]
 
 
 def test_local_order_colengths_match_grevlex_oracle():
@@ -549,6 +548,27 @@ def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
     assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
     assert 0 not in characteristics
+
+
+def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
+    # the F_p run certifies L_p = 320 at stable_at 37; the exact route makes one
+    # char-0 run at N' = 37 in place of the schedule 26, 32, 40
+    cfg = fermat(4)
+    w = cfg.witnesses
+    perturbed = WitnessPair(w.xi1 * cfg.ring.var("x"), w.r1, w.xi2, w.r2)
+    ideal = cfg.points_ideal()
+    u = pick_generic_linear_form(cfg.points, seed=0, ideal=ideal)
+    runs = []
+    leads = verifier.lead_monomial_basis
+
+    def counted(gens, order, truncate_degree):
+        runs.append((gens[0].ring.field.characteristic, truncate_degree))
+        return leads(gens, order=order, truncate_degree=truncate_degree)
+
+    monkeypatch.setattr(verifier, "lead_monomial_basis", counted)
+    rep = check_condition_by_length(cfg.points, perturbed, u=u, ideal=ideal)
+    assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
+    assert [n for p, n in runs if p == 0] == [37]
 
 
 def test_modular_length_below_rhs_is_a_bug():

@@ -16,11 +16,12 @@ records the min and median seconds and each run's ``timings_ms``.  The
 ``kernel`` block times single calls into the Groebner engine, K each, in this
 process, with their inputs built outside the timed region: one DS truncated
 run (``lead_monomial_basis`` on fermat-5 over F_31 with the seed-0 linear
-form at N' = KERNEL_TRUNCATION, the largest run of that verify) and one
+form at N' = KERNEL_TRUNCATION, the largest run of that verify), one
 ``points_ideal`` of the same configuration (many small bases, where set-up
-cost per call shows).  The file goes to the root of the checkout, with the
-Python version, ``nproc``, the git revision and K.  Every timing is taken
-with ``time.perf_counter``.
+cost per call shows) and one ``symbolic_power_ideal`` of fermat-3 over
+Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients).  The file
+goes to the root of the checkout, with the Python version, ``nproc``, the
+git revision and K.  Every timing is taken with ``time.perf_counter``.
 """
 
 import argparse
@@ -76,8 +77,9 @@ def time_verify(make, k):
 
 def kernel_calls(jobs):
     """The kernel block's calls, keyed by name, with their inputs built."""
+    from symrees.configs import fermat
     from symrees.groebner import lead_monomial_basis
-    from symrees.points import points_ideal
+    from symrees.points import points_ideal, symbolic_power_ideal
     from symrees.polynomials import DS
     from symrees.verifier import _eliminate_along, _truncation_inputs, pick_generic_linear_form
 
@@ -86,10 +88,12 @@ def kernel_calls(jobs):
     w = cfg.witnesses
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
     gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
+    f3 = fermat(3)
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
             gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
+        "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
     }
 
 

@@ -224,6 +224,12 @@ class Field:
         """Content normalization hook used by the Groebner engine; identity by default."""
         return items
 
+    def rationalizing_factor(self, a):
+        """An integral scalar c with c*a a rational integer, for an integral
+        nonzero a; None when a is a rational integer already, as every
+        integral scalar of Q is."""
+        return None
+
     def scalar_str(self, a) -> str:
         raise NotImplementedError
 
@@ -463,6 +469,19 @@ class CyclotomicField(Field):
                 vec.append(n * (lden // d) // g)
             out.append((m, tuple(vec)))
         return out
+
+    def rationalizing_factor(self, a):
+        """a^-1 with its denominators cleared, when a is not rational: the
+        product with a is then a rational integer.  Integer content alone
+        cannot remove an algebraic-integer factor of Z[zeta_n]."""
+        if not any(a[1:]):
+            return None
+        inv = self.inv(a)
+        lden = 1
+        for x in inv:
+            d = _num_den(x)[1]
+            lden = lden * d // gcd(lden, d)
+        return tuple(n * (lden // d) for n, d in map(_num_den, inv))
 
     def reduction_mod_prime(self):
         """(F_p, reduce) for the degree-one prime P = ker(zeta -> omega) of

@@ -11,7 +11,13 @@ a computation keeps has total degree at most ``MAX_DEGREE``; one that would
 go past it raises BudgetExceededError instead of wrapping a field.
 
 Coefficient growth over Q and Q(zeta_n) is tamed by rescaling every new basis
-element to integer content 1; prime-field runs make elements monic instead.
+element to integer content 1 with a rational-integer lead coefficient.  Over
+Q(zeta_n) that takes one more step: integer content cannot remove a unit or
+other algebraic-integer factor of the lead, which the cross-multiplication in
+``_reduce`` would otherwise carry into every later reduction, so the element
+is multiplied by the lead's inverse with its denominators cleared
+(``Field.rationalizing_factor``) before the content is stripped again.
+Prime-field runs make elements monic instead.
 
 One division loop, ``_reduce``, serves S-pair reduction, interreduction and
 ``normal_form``.  It returns only the remainder; no caller needs quotients
@@ -270,7 +276,8 @@ def normal_form(f, basis, order=GREVLEX):
 
 
 def _normalize_element(items, field):
-    """Content normalization: integer-primitive in characteristic 0, monic mod p."""
+    """Monic mod p; in characteristic 0 integral with content 1 and a
+    rational-integer lead coefficient."""
     if field.characteristic:
         lc = items[0][1]
         if lc != 1:
@@ -278,7 +285,12 @@ def _normalize_element(items, field):
             p = field.characteristic
             items = [(m, c * inv % p) for m, c in items]
         return items
-    return field.rescale_terms(items)
+    items = field.rescale_terms(items)
+    scale = field.rationalizing_factor(items[0][1])
+    if scale is not None:
+        mul = field.mul
+        items = field.rescale_terms([(m, mul(c, scale)) for m, c in items])
+    return items
 
 
 def _completed_basis(generators, order, cap):

@@ -103,13 +103,23 @@ class Ideal:
     def _eliminate(self, build) -> "Ideal":
         """The ideal of this ring cut out of the ideal ``build(ext, s)`` spans
         in ext = ring[s], s a fresh variable: the elements of its BlockOrder(1)
-        reduced basis that are free of s."""
+        reduced basis that are free of s.
+
+        s dominates, so an element is free of s exactly when its lead is.  On
+        monomials free of s the block order is grevlex, so the kept elements,
+        monic, interreduced and in ascending lead order, are the reduced
+        grevlex basis of the result, and the result carries it."""
         ring = self.ring
         name = ring.fresh_variable_name("s")
         ext = ring.extend(name)
         gb = reduced_groebner_basis(build(ext, ext.var(name)), BlockOrder(1))
-        kept = [p.restrict(ring) for p in gb if not any(m[-1] for m in p.terms)]
-        return Ideal(kept, ring=ring)
+        kept = [(p.restrict(ring), lm[:-1])
+                for p, lm in zip(gb.polynomials, gb.lead_monomials) if not lm[-1]]
+        out = Ideal([p for p, _ in kept], ring=ring)
+        if kept:
+            out._gb[GREVLEX] = GroebnerBasis(ring, GREVLEX, out.generators,
+                                             [lm for _, lm in kept])
+        return out
 
     def power(self, r: int) -> "Ideal":
         if r < 0:

@@ -151,6 +151,12 @@ def _in_point_power(terms, field, point, r):
     top = 1 + max(sum(m) for m in terms)
     done = []                               # local variables already shifted
     for v in (v for v in range(3) if v != c):
+        if field.is_zero(coords[v]):
+            # V = v needs no shift: only the terms still below order r stay
+            terms = {m: coeff for m, coeff in terms.items()
+                     if m[v] <= r - 1 - sum(m[u] for u in done)}
+            done.append(v)
+            continue
         weights = _shift_weights(field, coords[v], top, r)
         shifted = {}
         for m, coeff in terms.items():
@@ -159,7 +165,7 @@ def _in_point_power(terms, field, point, r):
             for s in range(min(i, room) + 1):
                 w = weights[i][s]
                 if field.is_zero(w):
-                    continue                # C(i, s) = 0 mod p, or a zero coordinate
+                    continue                # C(i, s) = 0 mod p
                 e = list(m)
                 e[v] = s
                 e[c] += i - s

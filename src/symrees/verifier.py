@@ -46,7 +46,7 @@ from .errors import (
 from .groebner import lead_monomial_basis
 from .ideals import INFINITE, Ideal
 from .points import PointSet, base_ring, points_ideal, symbolic_power_membership
-from .polynomials import DS, Polynomial, PolyRing, mono_divides
+from .polynomials import DS, Polynomial, PolyRing
 
 VERDICT_VERIFIED = "condition-verified"
 VERDICT_NOT_ESTABLISHED = "condition-not-established"
@@ -211,11 +211,25 @@ def _truncation_inputs(gens, ring, n):
 
 
 def _standard_count(leads, nvars, d):
-    """Number of degree-d monomials outside the monomial ideal the leads span."""
-    return sum(
-        1 for mono in _exponents_of_degree(nvars, d)
-        if not any(mono_divides(lm, mono) for lm in leads)
-    )
+    """Number of degree-d monomials outside the monomial ideal the leads span.
+
+    Read off the staircase: in two variables x^i y^(d-i) is a multiple of
+    x^a y^b exactly when a <= i <= d - b, so the count is d + 1 less the size
+    of the union of those intervals.  With more variables each exponent e of
+    the first one is fixed in turn, leaving the leads whose first exponent
+    is at most e."""
+    if nvars > 2:
+        return sum(_standard_count([lm[1:] for lm in leads if lm[0] <= e], nvars - 1, d - e)
+                   for e in range(d + 1))
+    if nvars == 1:
+        return 0 if any(lm[0] <= d for lm in leads) else 1
+    covered, reach = 0, -1
+    for lo, hi in sorted((a, d - b) for a, b in leads if a + b <= d):
+        lo = max(lo, reach + 1)
+        if hi >= lo:
+            covered += hi - lo + 1
+            reach = hi
+    return d + 1 - covered
 
 
 def _local_standard_counts(gens, ring, n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -157,6 +158,20 @@ def test_symbolic_power_ideal_command(tmp_path, capsys):
     assert code == EXIT_VERIFIED
     lines = capsys.readouterr().out.strip().splitlines()
     assert set(lines) == {"x*y", "x*z", "y*z"}
+
+
+@pytest.mark.parametrize("n, r, digest", [
+    (3, 3, "d1718fcafad154c31ef33cc57d58e5184f9db150780a12143f1e7a94f1ff7b17"),
+    (4, 2, "6a777a96d3f71cefca22c4c97ee406c02a63a6f750f7f4760a05a78f7db08584"),
+])
+def test_symbolic_power_ideal_output_is_pinned(tmp_path, capsys, n, r, digest):
+    # the printed reduced basis over Q(zeta_n), byte for byte: the scaling of
+    # intermediate basis elements must not show in the answer
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"kind": "fermat", "n": n}))
+    code = run(["symbolic-power", "--input", str(cfgfile), "--r", str(r), "--ideal"])
+    assert code == EXIT_VERIFIED
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cap_exceeded_maps_to_exit_three(capsys):

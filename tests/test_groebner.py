@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from helpers import compare, reference_key, s_polynomial
 from symrees.errors import BudgetExceededError, EmptyIdealError, ZeroPolynomialError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
+from symrees import groebner
 from symrees.groebner import (
     EXP_BITS,
     MAX_DEGREE,
+    _completed_basis,
     _Packing,
     lead_monomial_basis,
     normal_form,
@@ -96,23 +100,30 @@ def test_membership_fermat3_cross_term():
 # --- randomized suites ---------------------------------------------------------------
 
 
+def _random_scalar(field, rnd):
+    """A small integral scalar; over Q(zeta_n) one with every power of zeta."""
+    if isinstance(field, CyclotomicField):
+        return tuple(rnd.randint(-3, 3) for _ in range(field.degree))
+    return field.from_int(rnd.randint(-5, 5))
+
+
 def _random_polys(ring, rnd, count=3, max_terms=3, max_exp=3):
     out = []
     for _ in range(count):
         terms = {}
         for _ in range(rnd.randint(1, max_terms)):
             m = tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
-            terms[m] = ring.field.from_int(rnd.randint(-5, 5))
+            terms[m] = _random_scalar(ring.field, rnd)
         p = Polynomial.from_dict(ring, terms)
         if not p.is_zero():
             out.append(p)
     return out
 
 
-@settings(max_examples=30)
-@given(st.randoms(use_true_random=False))
-def test_all_s_pairs_reduce_to_zero(rnd):
-    ring = PolyRing(PrimeField(13), ("x", "y"))
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([PrimeField(13), CyclotomicField(3)]))
+def test_all_s_pairs_reduce_to_zero(rnd, field):
+    ring = PolyRing(field, ("x", "y"))
     gens = _random_polys(ring, rnd)
     if not gens:
         return
@@ -175,6 +186,63 @@ def test_membership_iff_normal_form_zero(rnd):
             combo = combo + g * mults[0]
     if not combo.is_zero():
         assert normal_form(combo, gb).is_zero()
+
+
+# --- integral lead coefficients over Q(zeta_n) ----------------------------------------
+
+CYCLOTOMIC = [CyclotomicField(3), CyclotomicField(5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(CYCLOTOMIC))
+def test_cyclotomic_basis_elements_have_rational_integer_leads(rnd, field):
+    ring = PolyRing(field, ("x", "y", "z"))
+    gens = _random_polys(ring, rnd, max_exp=2)
+    if not gens:
+        return
+    _, _, _, basis = _completed_basis(gens, GREVLEX, None)
+    for _, lc, items in basis:
+        assert lc == items[0][1]
+        assert not any(lc[1:]) and isinstance(lc[0], int)
+        coords = [v for _, c in items for v in c]
+        assert all(isinstance(v, int) for v in coords)
+        assert gcd(*coords) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(CYCLOTOMIC))
+def test_cyclotomic_scalars_leave_the_reduced_basis_unchanged(rnd, field):
+    ring = PolyRing(field, ("x", "y", "z"))
+    gens = _random_polys(ring, rnd, max_exp=2)
+    if not gens:
+        return
+    scaled = []
+    for g in gens:
+        c = field.zero
+        while field.is_zero(c):
+            c = _random_scalar(field, rnd)
+        scaled.append(g.scale(c))
+    assert reduced_groebner_basis(scaled).polynomials == reduced_groebner_basis(gens).polynomials
+
+
+def test_symbolic_power_basis_coefficients_stay_small(monkeypatch):
+    # without the integral lead the kept elements of this run reach about
+    # 5,900-bit coordinates; its 13 answer generators have at most 3 bits
+    from symrees.configs import fermat
+    from symrees.points import symbolic_power_ideal
+
+    cfg = fermat(3)
+    normalize = groebner._normalize_element
+    widest = []
+
+    def checked(items, field):
+        out = normalize(items, field)
+        widest.append(max(abs(v).bit_length() for _, c in out for v in c))
+        return out
+
+    monkeypatch.setattr(groebner, "_normalize_element", checked)
+    symbolic_power_ideal(cfg.points, 3, cfg.ring)
+    assert widest and max(widest) < 64
 
 
 # --- packed monomials ------------------------------------------------------------------

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from symrees.errors import NotHomogeneousError, WrongDimensionError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
+from symrees.groebner import reduced_groebner_basis
 from symrees.ideals import INFINITE, Ideal, intersect_all
-from symrees.polynomials import PolyRing, Polynomial
+from symrees.polynomials import GREVLEX, PolyRing, Polynomial
 
 Q = RationalField()
 R = PolyRing(Q)
@@ -145,13 +146,19 @@ def test_intersect_all_is_left_to_right():
 # --- randomized containments ---------------------------------------------------------
 
 
-def _random_ideal(ring, rnd, count=2):
+def _random_ideal(ring, rnd, count=2, irrational=False):
+    """Random generators; ``irrational`` adds a multiple of the field's
+    distinguished root of unity to each coefficient."""
+    field = ring.field
     gens = []
     for _ in range(count):
         terms = {}
         for _ in range(rnd.randint(1, 3)):
             m = tuple(rnd.randint(0, 2) for _ in range(ring.nvars))
-            terms[m] = ring.field.from_int(rnd.randint(-4, 4))
+            c = field.from_int(rnd.randint(-4, 4))
+            if irrational:
+                c = field.add(c, field.mul(field.from_int(rnd.randint(-2, 2)), field.generator()))
+            terms[m] = c
         p = Polynomial.from_dict(ring, terms)
         if not p.is_zero():
             gens.append(p)
@@ -184,6 +191,25 @@ def test_saturation_contains_ideal_and_is_idempotent(rnd):
     for g in I.generators:
         assert sat.contains(g)
     assert sat.saturation(f) == sat
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]), st.booleans())
+def test_elimination_carries_its_grevlex_basis(rnd, field, saturate):
+    ring = PolyRing(field, ("x", "y", "z"))
+    irrational = isinstance(field, CyclotomicField)
+    I = _random_ideal(ring, rnd, irrational=irrational)
+    J = _random_ideal(ring, rnd, count=1 if saturate else 2, irrational=irrational)
+    if I is None or J is None or (not saturate and (I.is_unit() or J.is_unit())):
+        return  # an intersection with the unit ideal eliminates nothing
+    K = I.saturation(J.generators[0]) if saturate else I.intersect(J)
+    if not K.generators:
+        return
+    seeded = K._gb[GREVLEX]
+    fresh = reduced_groebner_basis(K.generators)
+    assert seeded.polynomials == fresh.polynomials
+    assert seeded.lead_monomials == fresh.lead_monomials
 
 
 @settings(max_examples=15)

@@ -182,6 +182,32 @@ def test_membership_charts_at_infinity():
     assert not symbolic_power_membership(x - 1, H, 1)
 
 
+def test_zero_coordinates_are_not_shifted():
+    # at (1 : 0 : 0) and (0 : 0 : 1) both local variables are coordinates
+    # themselves: the test only drops terms and multiplies no scalar
+    field = RationalField()
+    ring = base_ring(field)
+    X, Y, Z = ring.var("x"), ring.var("y"), ring.var("z")
+    at_x = PointSet([ProjectivePoint(field, [1, 0, 0])])
+    at_z = PointSet([ProjectivePoint(field, [0, 0, 1])])
+    cases = [(X**40 * Y * Z + Y**2, at_x, True), (X**40 * Y + Z**3, at_x, False),
+             (X * Y * Z**40 + 3 * X**3, at_z, True), (X * Z**40 + Y**2, at_z, False)]
+    calls = []
+    mul = field.mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    field.mul = counted
+    try:
+        for xi, H, member in cases:
+            assert symbolic_power_membership(xi, H, 2) == member
+    finally:
+        del field.mul
+    assert calls == []
+
+
 # --- order of vanishing against the Groebner route --------------------------------
 
 F5, F7 = PrimeField(5), PrimeField(7)

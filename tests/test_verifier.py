@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import truncated_colength
+from helpers import standard_count_by_scan, truncated_colength
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import (
     CapExceededError,
@@ -26,6 +26,7 @@ from symrees.verifier import (
     VERDICT_VERIFIED,
     GenericLinearForm,
     _local_length_mod_prime,
+    _standard_count,
     check_condition_by_length,
     check_homogeneous_condition,
     default_cap,
@@ -351,6 +352,16 @@ def test_truncated_colengths_are_monotone_and_stay_flat():
     stable = next(i for i in range(1, len(vals)) if vals[i] == vals[i - 1])
     assert len(set(vals[stable - 1:])) == 1
     assert vals[-1] == 48
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(0, 9)] * n), max_size=8),
+    st.integers(0, 12))))
+def test_staircase_count_matches_scan(case):
+    nvars, leads, d = case
+    assert _standard_count(leads, nvars, d) == standard_count_by_scan(leads, nvars, d)
 
 
 def _local_colengths(gens, ring, n):

@@ -477,11 +477,11 @@ class CyclotomicField(Field):
         if not any(a[1:]):
             return None
         inv = self.inv(a)
-        lden = 1
-        for x in inv:
-            d = _num_den(x)[1]
-            lden = lden * d // gcd(lden, d)
-        return tuple(n * (lden // d) for n, d in map(_num_den, inv))
+        scale = _int_content_scale(inv)
+        if scale is None:
+            return inv
+        lden, g = scale
+        return tuple(n * (lden // d) // g for n, d in map(_num_den, inv))
 
     def reduction_mod_prime(self):
         """(F_p, reduce) for the degree-one prime P = ker(zeta -> omega) of

@@ -18,8 +18,10 @@ process, with their inputs built outside the timed region: one DS truncated
 run (``lead_monomial_basis`` on fermat-5 over F_31 with the seed-0 linear
 form at N' = KERNEL_TRUNCATION, the largest run of that verify), one
 ``points_ideal`` of the same configuration (many small bases, where set-up
-cost per call shows) and one ``symbolic_power_ideal`` of fermat-3 over
-Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients).  The file
+cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
+Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
+``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
+linear form (the substitution that starts every length route).  The file
 goes to the root of the checkout, with the Python version, ``nproc``, the
 git revision and K.  Every timing is taken with ``time.perf_counter``.
 """
@@ -89,11 +91,15 @@ def kernel_calls(jobs):
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
     gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
     f3 = fermat(3)
+    f4 = jobs["fermat-4"]()
+    u4 = pick_generic_linear_form(f4.points, seed=0, ideal=f4.points_ideal())
+    w4 = f4.witnesses
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
             gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
+        "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),
     }
 
 

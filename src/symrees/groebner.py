@@ -33,7 +33,14 @@ drop is then an exact division step against one of them), which is how the
 length computations arrange their m-adic truncations.  A local order (DS) is
 accepted only with a truncation: the cap is what leaves finitely many live
 monomials, so that reduction terminates and the result is a standard basis of
-the m-primary ideal.
+the m-primary ideal.  Such a run also ends at its first covered degree: under
+DS no term of a pair's S-polynomial or of its reduction has degree below the
+pair's lcm, so once the leads cover every monomial of degree c, no pair of
+lcm degree >= c can add a lead.  No such pair is queued (c <= N when m^N is
+among the generators), and the run stops when the heap's least lcm degree is
+covered; the minimal leads are those of the full run.  ``standard_count``,
+the staircase count of standard monomials of one degree, decides coverage
+here and gives the colengths in ``verifier``.
 """
 
 from __future__ import annotations
@@ -293,10 +300,42 @@ def _normalize_element(items, field):
     return items
 
 
+def standard_count(leads, nvars, d):
+    """Number of degree-d monomials outside the monomial ideal the leads span.
+
+    Read off the staircase: in two variables x^i y^(d-i) is a multiple of
+    x^a y^b exactly when a <= i <= d - b, so the count is d + 1 less the size
+    of the union of those intervals.  With more variables each exponent e of
+    the first one is fixed in turn, leaving the leads whose first exponent
+    is at most e."""
+    if nvars > 2:
+        return sum(standard_count([lm[1:] for lm in leads if lm[0] <= e], nvars - 1, d - e)
+                   for e in range(d + 1))
+    if nvars == 1:
+        return 0 if any(lm[0] <= d for lm in leads) else 1
+    covered, reach = 0, -1
+    for lo, hi in sorted((a, d - b) for a, b in leads if a + b <= d):
+        lo = max(lo, reach + 1)
+        if hi >= lo:
+            covered += hi - lo + 1
+            reach = hi
+    return d + 1 - covered
+
+
 def _completed_basis(generators, order, cap):
     """Run Buchberger to completion; returns (ring, field, packing, basis)
     where basis entries are (lead_mono, lead_coeff, terms) and every S-pair
-    reduces to zero.  Not yet minimal or interreduced."""
+    reduces to zero.  Not yet minimal or interreduced.
+
+    Under a local order every term of an S-polynomial, and of each reduction
+    step after it, has degree at least that of the pair's lcm, since a lead
+    is among the lowest-degree terms.  So once the leads cover every monomial
+    of some degree c, every pair of lcm degree >= c reduces to zero.  No
+    pair of lcm degree >= c is queued, with c the first degree the
+    generators' leads cover (the cap when m^cap is among them).  Pairs pop
+    in non-decreasing lcm degree, so the run ends as soon as the leads cover
+    the degree of the heap's minimum: every pair left then reduces to zero.
+    """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise EmptyIdealError("all generators are zero")
@@ -328,6 +367,13 @@ def _completed_basis(generators, order, cap):
     heap = []        # (degree field of the lcm, lcm, i, j)
     pack, unpack, zero = pk.pack, pk.unpack, pk.zero
     guard, deg = pk.guard, pk.deg_mask
+    nvars, shift = ring.nvars, ring.nvars * EXP_BITS
+    local = order.is_local
+    cut = deg + 1    # degree field of c: no pair of lcm degree >= c is queued
+    if local:
+        leads = [unpack(items[0][0]) for items in deduped]
+        c = next((d for d in range(cap + 1) if not standard_count(leads, nvars, d)), cap + 1)
+        cut = c << shift
 
     def add_element(items):
         lm = items[0][0]
@@ -336,14 +382,20 @@ def _completed_basis(generators, order, cap):
         basis.append((lm, items[0][1], items))
         for i in range(j):
             l = pack(map(max, exponents[i], e))
-            heapq.heappush(heap, (l & deg, l, i, j))
-            pending.add((i, j))
+            if l & deg < cut:
+                heapq.heappush(heap, (l & deg, l, i, j))
+                pending.add((i, j))
         exponents.append(e)
 
     for items in deduped:
         add_element(items)
 
+    current = None   # degree field of the lcms being popped
     while heap:
+        if local and heap[0][0] != current:
+            current = heap[0][0]
+            if not standard_count(exponents, nvars, current >> shift):
+                break  # c drops to the heap's minimum: every pair left reduces to zero
         _, l, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue

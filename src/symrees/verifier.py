@@ -43,7 +43,7 @@ from .errors import (
     MembershipFailedError,
     NotHomogeneousError,
 )
-from .groebner import lead_monomial_basis
+from .groebner import lead_monomial_basis, standard_count
 from .ideals import INFINITE, Ideal
 from .points import PointSet, base_ring, points_ideal, symbolic_power_membership
 from .polynomials import DS, Polynomial, PolyRing
@@ -210,34 +210,12 @@ def _truncation_inputs(gens, ring, n):
     return trunc
 
 
-def _standard_count(leads, nvars, d):
-    """Number of degree-d monomials outside the monomial ideal the leads span.
-
-    Read off the staircase: in two variables x^i y^(d-i) is a multiple of
-    x^a y^b exactly when a <= i <= d - b, so the count is d + 1 less the size
-    of the union of those intervals.  With more variables each exponent e of
-    the first one is fixed in turn, leaving the leads whose first exponent
-    is at most e."""
-    if nvars > 2:
-        return sum(_standard_count([lm[1:] for lm in leads if lm[0] <= e], nvars - 1, d - e)
-                   for e in range(d + 1))
-    if nvars == 1:
-        return 0 if any(lm[0] <= d for lm in leads) else 1
-    covered, reach = 0, -1
-    for lo, hi in sorted((a, d - b) for a, b in leads if a + b <= d):
-        lo = max(lo, reach + 1)
-        if hi >= lo:
-            covered += hi - lo + 1
-            reach = hi
-    return d + 1 - covered
-
-
 def _local_standard_counts(gens, ring, n):
     """Standard monomials of J + m^n under DS, counted by degree 0..n-1: the
     colength of J + m^N for any N <= n is the sum of the first N counts."""
     leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), order=DS,
                                 truncate_degree=n)
-    return [_standard_count(leads, ring.nvars, d) for d in range(n)]
+    return [standard_count(leads, ring.nvars, d) for d in range(n)]
 
 
 def _first_truncation(target):
@@ -304,9 +282,13 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     colength(d) = colength(d+1), i.e. m^d lies in J + m^(d+1), and Nakayama's
     lemma in the local ring gives m^d in J: the local length is colength(d).
     This holds whatever the global dimension of J.  The least such d is
-    returned as the certificate pair (d, d+1), with stable_at = d+1.
-    Without one, N' grows by a quarter (a char-0 run past the stabilization
-    degree is far dearer than one below it) up to ``cap``.
+    returned as the certificate pair (d, d+1), with stable_at = d+1.  The
+    run itself stops there: once the leads cover degree d no S-pair of lcm
+    degree >= d can add a lead, so none is reduced
+    (``groebner._completed_basis``).  Without a certificate, N' grows by a
+    quarter up to ``cap``.  Every term up to degree N' still takes part in
+    each reduction, so one run at a first N' large enough for every input
+    costs more than these restarts.
 
     Only after the first run without a certificate does the INFINITE gate
     run.  The length is INFINITE exactly when a positive-dimensional
@@ -384,20 +366,32 @@ def default_cap(rhs: int) -> int:
 
 
 def _eliminate_along(u: GenericLinearForm, polys):
-    """Substitute away the largest-coefficient variable of u; returns 2-variable images."""
+    """Substitute away the largest-coefficient variable of u; returns 2-variable images.
+
+    The pivot is the variable whose coefficient a is largest in absolute value
+    among those nonzero in the field.  Fraction-free: with u = a*x_p + l, xi is
+    scaled to integer content one, each of its terms of x_p-degree e is
+    multiplied by a^(deg xi - e), and x_p is replaced by -l.  The image is a
+    nonzero scalar multiple of xi(x_p = -l/a), so the ideal and every length
+    stay the same, and over Q and Q(zeta_n) its coordinates are integers.
+    """
     coeffs = u.int_coefficients
     ring = polys[0].ring
     field = ring.field
-    pivot = max(range(3), key=lambda i: (abs(coeffs[i]), i))
+    pivot = max((i for i in range(3) if not field.is_zero(field.from_int(coeffs[i]))),
+                key=lambda i: (abs(coeffs[i]), i))
     pname = ring.variables[pivot]
-    inv = field.inv(field.from_int(coeffs[pivot]))
-    expr = ring.zero()
+    a = field.from_int(coeffs[pivot])
+    minus_l = ring.zero()
     for i, c in enumerate(coeffs):
         if i != pivot and c:
-            expr = expr + ring.var(ring.variables[i]).scale(field.mul(field.from_int(-c), inv))
+            minus_l = minus_l + ring.var(ring.variables[i]).scale(field.from_int(-c))
     out = []
     for p in polys:
-        out.append(p.substitute(pname, expr).drop_variable(pname))
+        top = max(map(sum, p.terms), default=0)
+        scaled = Polynomial(ring, {m: field.mul(field.pow(a, top - m[pivot]), c)
+                                   for m, c in field.rescale_terms(list(p.terms.items()))})
+        out.append(scaled.substitute(pname, minus_l).drop_variable(pname))
     return out
 
 

@@ -1,16 +1,17 @@
 """Reference routines that only the tests use.
 
 The S-polynomial, a three-way order comparison, a standard-monomial count by
-scanning every monomial and the grevlex truncated colength check the
-library's results from outside; the tuple keys below are
-the monomial orders written out directly, against which the weight rows of
-``symrees.polynomials`` and the packed monomials of ``symrees.groebner`` are
-tested.
+scanning every monomial, the grevlex truncated colength, the DS leads of a
+truncated span by Gaussian elimination and the elimination along u by
+dividing through its pivot coefficient check the library's results from
+outside; the tuple keys below are the monomial orders written out directly,
+against which the weight rows of ``symrees.polynomials`` and the packed
+monomials of ``symrees.groebner`` are tested.
 """
 
 from symrees.errors import VariableMismatchError, ZeroPolynomialError
 from symrees.groebner import lead_monomial_basis
-from symrees.polynomials import GREVLEX, mono_divides
+from symrees.polynomials import DS, GREVLEX, mono_divides
 from symrees.verifier import _exponents_of_degree, _truncation_inputs
 
 
@@ -52,6 +53,57 @@ def truncated_colength(gens, ring, n):
     route is tested against."""
     leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), truncate_degree=n)
     return sum(standard_count_by_scan(leads, ring.nvars, d) for d in range(n))
+
+
+def local_leads_by_elimination(generators, n):
+    """Minimal DS leads of the span of every x^a * g cut at degree n, for the
+    generators g: the reference for
+    ``lead_monomial_basis(generators, order=DS, truncate_degree=n)``.
+
+    Each product is reduced against the rows kept so far, columns taken in
+    DS order; the leads of the kept rows are the leads of the whole span."""
+    ring = generators[0].ring
+    field = ring.field
+    rows = {}  # lead monomial -> the kept row with that lead
+    for g in generators:
+        terms = {m: c for m, c in g.terms.items() if sum(m) <= n}
+        if not terms:
+            continue
+        for d in range(n - min(map(sum, terms)) + 1):
+            for a in _exponents_of_degree(ring.nvars, d):
+                row = {tuple(i + j for i, j in zip(a, m)): c
+                       for m, c in terms.items() if d + sum(m) <= n}
+                while row:
+                    lead = max(row, key=lambda m: reference_key(DS, m))
+                    kept = rows.get(lead)
+                    if kept is None:
+                        rows[lead] = row
+                        break
+                    f = field.div(row[lead], kept[lead])
+                    for m, c in kept.items():
+                        v = field.sub(row.get(m, field.zero), field.mul(f, c))
+                        if field.is_zero(v):
+                            row.pop(m, None)
+                        else:
+                            row[m] = v
+    return {lm for lm in rows if not any(o != lm and mono_divides(o, lm) for o in rows)}
+
+
+def eliminate_by_quotient(coeffs, polys):
+    """The images of the polys with the pivot variable of the linear form
+    ``coeffs`` replaced by -(the rest of the form) / (its coefficient), the
+    pivot chosen as in ``verifier._eliminate_along``."""
+    ring = polys[0].ring
+    field = ring.field
+    pivot = max((i for i in range(3) if not field.is_zero(field.from_int(coeffs[i]))),
+                key=lambda i: (abs(coeffs[i]), i))
+    inv = field.inv(field.from_int(coeffs[pivot]))
+    expr = ring.zero()
+    for i, c in enumerate(coeffs):
+        if i != pivot and c:
+            expr = expr + ring.var(ring.variables[i]).scale(field.mul(field.from_int(-c), inv))
+    pname = ring.variables[pivot]
+    return [p.substitute(pname, expr).drop_variable(pname) for p in polys]
 
 
 def _grevlex_key(expo):

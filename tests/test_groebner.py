@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compare, reference_key, s_polynomial
+from helpers import compare, local_leads_by_elimination, reference_key, s_polynomial
 from symrees.errors import BudgetExceededError, EmptyIdealError, ZeroPolynomialError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees import groebner
@@ -107,13 +107,14 @@ def _random_scalar(field, rnd):
     return field.from_int(rnd.randint(-5, 5))
 
 
-def _random_polys(ring, rnd, count=3, max_terms=3, max_exp=3):
+def _random_polys(ring, rnd, count=3, max_terms=3, max_exp=3, constant=True):
     out = []
     for _ in range(count):
         terms = {}
         for _ in range(rnd.randint(1, max_terms)):
             m = tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
-            terms[m] = _random_scalar(ring.field, rnd)
+            if constant or any(m):
+                terms[m] = _random_scalar(ring.field, rnd)
         p = Polynomial.from_dict(ring, terms)
         if not p.is_zero():
             out.append(p)
@@ -243,6 +244,61 @@ def test_symbolic_power_basis_coefficients_stay_small(monkeypatch):
     monkeypatch.setattr(groebner, "_normalize_element", checked)
     symbolic_power_ideal(cfg.points, 3, cfg.ring)
     assert widest and max(widest) < 64
+
+
+# --- truncated local-order runs ------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]),
+       st.sampled_from([2, 3]), st.booleans())
+def test_truncated_ds_leads_match_elimination(rnd, field, nvars, with_power):
+    from symrees.verifier import _truncation_inputs
+
+    ring = PolyRing(field, ("x", "y", "z")[:nvars])
+    # small n next to the generators' degrees puts pairs at the covered degree
+    n = rnd.randint(2, 6 if nvars == 2 else 4)
+    gens = _random_polys(ring, rnd, max_terms=4, max_exp=rnd.randint(1, 3), constant=False)
+    if with_power:
+        gens = _truncation_inputs(gens, ring, n)  # J cut below n, plus m^n
+    if not any(sum(m) <= n for g in gens for m in g.terms):
+        with pytest.raises(EmptyIdealError):
+            lead_monomial_basis(gens, order=DS, truncate_degree=n)
+        return
+    leads = lead_monomial_basis(gens, order=DS, truncate_degree=n)
+    assert len(set(leads)) == len(leads)
+    assert set(leads) == local_leads_by_elimination(gens, n)
+
+
+def test_truncated_run_ends_at_its_first_covered_degree(monkeypatch):
+    # fermat-4 over F_13, seed 0: degree 35 is the first without a standard
+    # monomial (stable_at 36), so the run at N' = 40 reduces no S-polynomial
+    # whose terms all have degree >= 36
+    from symrees.configs import fermat
+    from symrees.verifier import _eliminate_along, _truncation_inputs, pick_generic_linear_form
+
+    cfg = fermat(4, field=PrimeField(13, root_order=4))
+    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    a, b = _eliminate_along(u, [cfg.witnesses.xi1, cfg.witnesses.xi2])
+    gens = _truncation_inputs([a, b], a.ring, 40)
+    reduce = groebner._reduce
+    lowest = []
+
+    def recorded(terms, reducers, field, pk):
+        if terms:
+            lowest.append(min((m & pk.deg_mask) >> (pk.nvars * EXP_BITS) for m, _ in terms))
+        return reduce(terms, reducers, field, pk)
+
+    monkeypatch.setattr(groebner, "_reduce", recorded)
+    leads = lead_monomial_basis(gens, order=DS, truncate_degree=40)
+    counts = [groebner.standard_count(leads, 2, d) for d in range(40)]
+    assert counts.index(0) + 1 == 36
+    assert lowest and max(lowest) < 36
+    # with no degree ever covered every pair of lcm degree <= 40 is reduced
+    reduced_with_cut = len(lowest)
+    monkeypatch.setattr(groebner, "standard_count", lambda leads, nvars, d: 1)
+    assert lead_monomial_basis(gens, order=DS, truncate_degree=40) == leads
+    assert max(lowest[reduced_with_cut:]) >= 36
 
 
 # --- packed monomials ------------------------------------------------------------------

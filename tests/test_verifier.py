@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import standard_count_by_scan, truncated_colength
+from helpers import eliminate_by_quotient, standard_count_by_scan, truncated_colength
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import (
     CapExceededError,
@@ -16,6 +16,7 @@ from symrees.errors import (
 )
 from symrees import verifier
 from symrees.fields import CyclotomicField, PrimeField, RationalField, degree_one_prime
+from symrees.groebner import reduced_groebner_basis, standard_count
 from symrees.ideals import INFINITE, Ideal
 from symrees.points import PointSet, ProjectivePoint, base_ring, points_ideal
 from symrees.polynomials import PolyRing, Polynomial
@@ -26,7 +27,6 @@ from symrees.verifier import (
     VERDICT_VERIFIED,
     GenericLinearForm,
     _local_length_mod_prime,
-    _standard_count,
     check_condition_by_length,
     check_homogeneous_condition,
     default_cap,
@@ -361,7 +361,7 @@ def test_truncated_colengths_are_monotone_and_stay_flat():
     st.integers(0, 12))))
 def test_staircase_count_matches_scan(case):
     nvars, leads, d = case
-    assert _standard_count(leads, nvars, d) == standard_count_by_scan(leads, nvars, d)
+    assert standard_count(leads, nvars, d) == standard_count_by_scan(leads, nvars, d)
 
 
 def _local_colengths(gens, ring, n):
@@ -437,6 +437,70 @@ def test_local_order_needs_truncation():
     with pytest.raises(InputError):
         normal_form(x, [x - x**2], DS)
     assert lead_monomial_basis([x - x**2, y], order=DS, truncate_degree=4) == ((0, 1, 0), (1, 0, 0))
+
+
+# --- elimination along u --------------------------------------------------------------
+
+
+def _integer_coordinates(poly):
+    return all(type(v) is int for c in poly.terms.values()
+               for v in (c if isinstance(c, tuple) else (c,)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fermat(4), lambda: fermat(5), lambda: grid_example(2, 2), lambda: grid_example(2, 3),
+], ids=["fermat-4", "fermat-5", "grid-2x2", "grid-2x3"])
+def test_eliminated_witnesses_keep_integer_coordinates(make):
+    from symrees.verifier import _eliminate_along
+
+    cfg = make()
+    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    w = cfg.witnesses
+    assert all(_integer_coordinates(p) for p in _eliminate_along(u, [w.xi1, w.xi2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]))
+def test_elimination_along_u_matches_the_quotient_formula(rnd, field):
+    from symrees.verifier import _eliminate_along
+
+    coeffs = tuple(rnd.randint(-9, 9) for _ in range(3))
+    if all(field.is_zero(field.from_int(c)) for c in coeffs):
+        return
+    ring = base_ring(field)
+    polys = []
+    for _ in range(2):
+        terms = {tuple(rnd.randint(0, 3) for _ in range(3)): _random_scalar(field, rnd)
+                 for _ in range(rnd.randint(1, 4))}
+        polys.append(Polynomial.from_dict(ring, terms))
+    u = GenericLinearForm(None, coeffs, 0, 0, 0)
+    images = _eliminate_along(u, polys)
+    expected = eliminate_by_quotient(coeffs, polys)
+    if field.characteristic == 0:
+        assert all(_integer_coordinates(p) for p in images)
+    for got, want in zip(images, expected):
+        assert got.is_zero() == want.is_zero()
+        if not got.is_zero():
+            assert reduced_groebner_basis([got]).polynomials == reduced_groebner_basis([want]).polynomials
+    nonzero = [p for p in images if not p.is_zero()]
+    if nonzero:
+        assert (reduced_groebner_basis(nonzero).polynomials
+                == reduced_groebner_basis([p for p in expected if not p.is_zero()]).polynomials)
+
+
+def test_elimination_pivot_is_nonzero_in_the_field():
+    # over F_7 the largest coefficient of -x + 2y + 7z vanishes, so y goes;
+    # grid-2x2 over F_7 draws that form at seed 5
+    from symrees.verifier import _eliminate_along
+
+    F7 = PrimeField(7)
+    ring = base_ring(F7)
+    u = GenericLinearForm(None, (-1, 2, 7), 0, 0, 0)
+    (image,) = _eliminate_along(u, [ring.var("x") + ring.var("y") + ring.var("z")])
+    assert image.ring.variables == ("x", "z")
+    cfg = grid_example(2, 2, field=F7)
+    assert pick_generic_linear_form(cfg.points, seed=5, ideal=cfg.points_ideal()).int_coefficients == (-1, 2, 7)
+    assert verify(cfg, seed=5).verdict == VERDICT_VERIFIED
 
 
 # --- the local length modulo a degree-one prime --------------------------------------

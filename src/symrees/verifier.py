@@ -286,9 +286,9 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
     run itself stops there: once the leads cover degree d no S-pair of lcm
     degree >= d can add a lead, so none is reduced
     (``groebner._completed_basis``).  Without a certificate, N' grows by a
-    quarter up to ``cap``.  Every term up to degree N' still takes part in
-    each reduction, so one run at a first N' large enough for every input
-    costs more than these restarts.
+    quarter up to ``cap``.  A run's cost still grows with N', since every
+    term up to degree N' takes part in its reductions, so N' starts from
+    the target rather than high enough for any input.
 
     Only after the first run without a certificate does the INFINITE gate
     run.  The length is INFINITE exactly when a positive-dimensional

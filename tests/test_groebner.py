@@ -291,9 +291,9 @@ def test_truncated_run_ends_at_its_first_covered_degree(monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce", recorded)
     leads = lead_monomial_basis(gens, order=DS, truncate_degree=40)
+    assert lowest and max(lowest) < 36
     counts = [groebner.standard_count(leads, 2, d) for d in range(40)]
     assert counts.index(0) + 1 == 36
-    assert lowest and max(lowest) < 36
     # with no degree ever covered every pair of lcm degree <= 40 is reduced
     reduced_with_cut = len(lowest)
     monkeypatch.setattr(groebner, "standard_count", lambda leads, nvars, d: 1)

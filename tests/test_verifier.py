@@ -478,14 +478,11 @@ def test_elimination_along_u_matches_the_quotient_formula(rnd, field):
     expected = eliminate_by_quotient(coeffs, polys)
     if field.characteristic == 0:
         assert all(_integer_coordinates(p) for p in images)
+    # each image spans the same ideal as its quotient image
     for got, want in zip(images, expected):
         assert got.is_zero() == want.is_zero()
         if not got.is_zero():
             assert reduced_groebner_basis([got]).polynomials == reduced_groebner_basis([want]).polynomials
-    nonzero = [p for p in images if not p.is_zero()]
-    if nonzero:
-        assert (reduced_groebner_basis(nonzero).polynomials
-                == reduced_groebner_basis([p for p in expected if not p.is_zero()]).polynomials)
 
 
 def test_elimination_pivot_is_nonzero_in_the_field():

@@ -21,7 +21,10 @@ form at N' = KERNEL_TRUNCATION, the largest run of that verify), one
 cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
 Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
 ``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
-linear form (the substitution that starts every length route).  The file
+linear form (the substitution that starts every length route), and one
+INFINITE gate (``_meets_positive_dimension`` on a fresh ideal of the seed-0
+eliminated witnesses of fermat-5 over F_31, the test the first seed pays
+after its first run without a certificate).  The file
 goes to the root of the checkout, with the Python version, ``nproc``, the
 git revision and K.  Every timing is taken with ``time.perf_counter``.
 """
@@ -83,7 +86,13 @@ def kernel_calls(jobs):
     from symrees.groebner import lead_monomial_basis
     from symrees.points import points_ideal, symbolic_power_ideal
     from symrees.polynomials import DS
-    from symrees.verifier import _eliminate_along, _truncation_inputs, pick_generic_linear_form
+    from symrees.ideals import Ideal
+    from symrees.verifier import (
+        _eliminate_along,
+        _meets_positive_dimension,
+        _truncation_inputs,
+        pick_generic_linear_form,
+    )
 
     cfg = jobs["fermat-5-f31"]()
     u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
@@ -100,6 +109,9 @@ def kernel_calls(jobs):
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
         "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),
+        # a fresh Ideal per call: a cached basis would make later calls free
+        "infinite_gate_fermat-5-f31": lambda: _meets_positive_dimension(
+            Ideal([xi1, xi2], ring=xi1.ring)),
     }
 
 

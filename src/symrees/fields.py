@@ -294,7 +294,7 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         n, d = _num_den(a)
-        return Fraction(d, n)
+        return self.from_fraction(Fraction(d, n))
 
     def from_int(self, k):
         return k

@@ -20,7 +20,7 @@ from .errors import (
     VariableMismatchError,
     WrongDimensionError,
 )
-from .groebner import GroebnerBasis, reduced_groebner_basis
+from .groebner import GroebnerBasis, lead_monomial_basis, reduced_groebner_basis
 from .polynomials import GREVLEX, BlockOrder, Polynomial, mono_divides
 
 INFINITE = math.inf
@@ -137,11 +137,15 @@ class Ideal:
     # -- numerical invariants ------------------------------------------------------
 
     def krull_dimension(self) -> int:
-        """Dimension of the quotient ring, read off the lead-term ideal; -1 for the unit ideal."""
-        gb = self.groebner()
-        if gb.is_unit():
+        """Dimension of the quotient ring, read off the lead-term ideal; -1 for the unit ideal.
+
+        Only the grevlex leads are needed: those of a cached reduced basis,
+        else the minimal leads of a completed basis without its tail
+        interreduction."""
+        gb = self._gb.get(GREVLEX)
+        leads = gb.lead_monomials if gb is not None else lead_monomial_basis(self.generators)
+        if not all(map(any, leads)):
             return -1
-        leads = gb.lead_monomials
         nv = self.ring.nvars
         for size in range(nv, 0, -1):
             for subset in combinations(range(nv), size):
@@ -184,10 +188,11 @@ class Ideal:
         """Multiplicity of a one-dimensional homogeneous quotient."""
         if not self.is_homogeneous():
             raise NotHomogeneousError("multiplicity needs homogeneous generators")
+        gb = self.groebner()
         dim = self.krull_dimension()
         if dim != 1:
             raise WrongDimensionError(f"quotient has dimension {dim}, expected 1")
-        leads = _minimalize(self.groebner().lead_monomials)
+        leads = _minimalize(gb.lead_monomials)
         numerator = _hilbert_numerator(frozenset(leads), {})
         # Hilbert series = numerator / (1-t)^nvars; dimension 1 means the
         # numerator is divisible by (1-t)^(nvars-1) and the value of the

@@ -25,6 +25,12 @@ char-0 route; a finite L_p still bounds that route (no infinite-length test,
 N' <= L_p + 1), whose first run is at the F_p certificate degree.
 ``stable_at`` is the degree of whichever certificate proved the length.
 
+``verify`` repeats the length route with a second seed as a confirmation,
+and that run starts at the ``stable_at`` the first seed proved.  The counts
+below N' do not depend on N', so the starting point cannot change the
+confirmation's length or its ``stable_at``: it only decides how many runs
+it takes, one when its certificate degree is at most the first seed's.
+
 A verified criterion implies the symbolic Rees ring is finitely generated; a
 failed check proves nothing (the criterion is existential over witness pairs).
 """
@@ -261,7 +267,8 @@ def _meets_positive_dimension(J: Ideal) -> bool:
     return False
 
 
-def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
+def local_length_at_origin(J: Ideal, cap: int, target: int | None = None,
+                           first: int | None = None):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
     Returns ``(length, stable_at)``.  One standard basis of J + m^N' under
@@ -302,13 +309,21 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None):
 
     ``target`` (the expected length) only picks the first N': a colength of
     ``target`` in two variables needs d(d+1)/2 >= target, so N' starts one
-    above the least such d.  It never affects the value.
+    above the least such d.  ``first``, when given, is the first N' itself;
+    the confirmation seed of ``verify`` passes the ``stable_at`` the first
+    seed proved.  Neither affects the value: the standard-monomial counts
+    below N' do not depend on N', so every schedule finds the same least
+    degree d without one.  A first N' at or above d + 1 certifies in one
+    run and the gate never runs; one below it fails, the gate runs, and N'
+    grows by a quarter as from any other first run.
     """
     ring = J.ring
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return INFINITE, None
-    for run, found in enumerate(_certificate_runs(gens, ring, cap, _first_truncation(target))):
+    if first is None:
+        first = _first_truncation(target)
+    for run, found in enumerate(_certificate_runs(gens, ring, cap, first)):
         if found is not None:
             return found
         if run == 0 and _meets_positive_dimension(Ideal(gens, ring=ring)):
@@ -322,17 +337,18 @@ def _finite_local_length(J: Ideal, cap: int, first: int):
                 if found is not None)
 
 
-def _local_length_mod_prime(J: Ideal, cap: int, rhs: int):
+def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int | None = None):
     """The local length L_p of J modulo a prime, with its ``stable_at``,
     when it is finite; None when it is not.
 
     The generators are made integral and reduced modulo the degree-one prime
     P of ``field.reduction_mod_prime``; ``local_length_at_origin`` then runs
-    unchanged over F_p.  Its length L_p bounds the char-0 length L from
-    above, so L_p = rhs, with Huneke's L >= rhs, proves L = rhs; the
-    ``stable_at`` is then the degree of that F_p certificate.  A larger L_p
-    (an unlucky prime, or L > rhs) still bounds L, so the caller's exact
-    route needs no INFINITE gate and no N' above L_p + 1.  An INFINITE L_p
+    unchanged over F_p, from ``first`` when it is given.  Its length L_p
+    bounds the char-0 length L from above, so L_p = rhs, with Huneke's
+    L >= rhs, proves L = rhs; the ``stable_at`` is then the degree of that
+    F_p certificate.  A larger L_p (an unlucky prime, or L > rhs) still
+    bounds L, so the caller's exact route needs no INFINITE gate and no N'
+    above L_p + 1.  An INFINITE L_p
     (also what a generator that vanishes mod P gives), or a cap exceeded
     over F_p, proves nothing: None.  L_p < rhs contradicts L_p >= L >= rhs
     and raises InvariantError.
@@ -342,7 +358,8 @@ def _local_length_mod_prime(J: Ideal, cap: int, rhs: int):
     fp_ring = PolyRing(fp, ring.variables)
     images = [Polynomial(fp_ring, dict(reduce(list(g.terms.items())))) for g in J.generators]
     try:
-        lp, stable_at = local_length_at_origin(Ideal(images, ring=fp_ring), cap, target=rhs)
+        lp, stable_at = local_length_at_origin(Ideal(images, ring=fp_ring), cap, target=rhs,
+                                               first=first)
     except CapExceededError:
         return None
     if lp == INFINITE:
@@ -444,8 +461,13 @@ def check_homogeneous_condition(H: PointSet, witnesses, ideal: Ideal | None = No
 def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | None = None,
                               seed: int = 0, cap: int | None = None,
                               ideal: Ideal | None = None,
-                              precomputed_memberships=None) -> VerificationReport:
-    """Length-equality criterion: local length of (u, xi1, xi2) vs r1*r2*dim S/(uS+I)."""
+                              precomputed_memberships=None,
+                              first: int | None = None) -> VerificationReport:
+    """Length-equality criterion: local length of (u, xi1, xi2) vs r1*r2*dim S/(uS+I).
+
+    ``first``, when given, is the first truncation degree N' of the length's
+    DS runs in place of the one picked from rhs; it never changes the
+    report (see ``local_length_at_origin``)."""
     field = H.field
     ring = base_ring(field)
     report = VerificationReport(config=None, field=field.spec.to_json(), seed=seed)
@@ -484,9 +506,9 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
             cap = default_cap(rhs)
         found = None
         if field.characteristic == 0:
-            found = _local_length_mod_prime(J, cap, rhs)
+            found = _local_length_mod_prime(J, cap, rhs, first)
         if found is None:
-            lhs, stable_at = local_length_at_origin(J, cap, target=rhs)
+            lhs, stable_at = local_length_at_origin(J, cap, target=rhs, first=first)
         elif found[0] == rhs:
             lhs, stable_at = found
         else:
@@ -513,10 +535,15 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
 
     Routes homogeneous pairs through the product check, everything else
     through the length check, which is repeated with a second seed and must
-    agree.  A verified report certifies finite generation of the symbolic
-    Rees ring; a non-established one proves nothing either way.  Each stage is
-    timed where it runs; the confirmation seed's run is the one entry
-    ``timings_ms["confirmation"]``.
+    agree.  The second seed's DS runs start at the first seed's
+    ``stable_at``: its own u gives an independent length, and since the
+    counts below a truncation degree do not depend on it, the start changes
+    neither that length nor its ``stable_at``.  When both seeds share the
+    certificate degree (every built-in configuration) the confirmation is
+    one DS run and pays no INFINITE gate.  A verified report certifies
+    finite generation of the symbolic Rees ring; a non-established one
+    proves nothing either way.  Each stage is timed where it runs; the
+    confirmation seed's run is the one entry ``timings_ms["confirmation"]``.
     """
     t_total = time.monotonic()
     H = config.points
@@ -549,7 +576,8 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
                                            precomputed_memberships=memberships)
         t0 = time.monotonic()
         second = check_condition_by_length(H, witnesses, seed=seed + 1, cap=cap, ideal=ideal,
-                                           precomputed_memberships=memberships)
+                                           precomputed_memberships=memberships,
+                                           first=report.lengths.get("stable_at"))
         stages["confirmation"] = _ms(t0)
         if second.verdict != report.verdict:
             raise InvariantError("verdicts disagree across seeds")

@@ -44,3 +44,21 @@ def test_tracer_sees_the_length_route(tracer):
     # over Q the length comes from a run modulo a prime, which must still
     # go through the wrapped local_length_at_origin and lead_monomial_basis
     assert {"verifier.local_length", "groebner.truncated"} <= names
+
+
+def test_truncated_runs_pass_their_degree_by_keyword(monkeypatch):
+    # the tracer reads a run's N' from kwargs["truncate_degree"]
+    from symrees import verifier
+    from symrees.configs import grid_example
+
+    calls = []
+    leads = verifier.lead_monomial_basis
+
+    def logged(*args, **kwargs):
+        calls.append(kwargs)
+        return leads(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "lead_monomial_basis", logged)
+    assert verifier.verify(grid_example(2, 2)).verdict == verifier.VERDICT_VERIFIED
+    assert calls
+    assert all(kwargs.get("truncate_degree", 0) > 0 for kwargs in calls)

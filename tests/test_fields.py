@@ -70,6 +70,20 @@ def test_rational_inverse():
     assert Q.mul(Q.inv(Fraction(3, 7)), Fraction(3, 7)) == 1
 
 
+def test_rational_inverse_of_an_integer_is_an_int():
+    from symrees.configs import grid_example
+
+    Q = RationalField()
+    assert type(Q.inv(1)) is int and type(Q.inv(-1)) is int
+    assert type(Q.inv(Fraction(1, 3))) is int and Q.inv(Fraction(-1, 3)) == -3
+    # the grid's points and the coefficients of its witnesses, which
+    # split_binomial divides out, stay plain integers
+    cfg = grid_example(2, 2)
+    w = cfg.witnesses
+    assert all(type(c) is int for P in cfg.points for c in P.coords)
+    assert all(type(c) is int for xi in (w.xi1, w.xi2) for c in xi.terms.values())
+
+
 def test_cyclotomic_inverse_of_generator_order_four():
     F = CyclotomicField(4)
     z = F.generator()

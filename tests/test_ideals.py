@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,3 +237,36 @@ def test_finite_colength_iff_dimension_zero(rnd):
     dim = I.krull_dimension()
     vs = I.vector_space_dimension()
     assert (vs != INFINITE) == (dim <= 0)
+
+
+def _dimension_from_reduced_basis(gens):
+    """The largest set of variables no lead of the reduced grevlex basis
+    lives on; -1 for the unit ideal."""
+    gb = reduced_groebner_basis(gens)
+    if gb.is_unit():
+        return -1
+    nv = gb.ring.nvars
+    return max(len(vs) for k in range(nv + 1) for vs in combinations(range(nv), k)
+               if not any(all(i in vs for i, e in enumerate(lm) if e)
+                          for lm in gb.lead_monomials))
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+       st.sampled_from([Q, PrimeField(7)]), st.booleans())
+def test_dimension_from_leads_matches_reduced_basis(rnd, nvars, field, unit):
+    ring = PolyRing(field, ("x", "y", "z")[:nvars])
+    I = _random_ideal(ring, rnd, count=rnd.randint(1, 3))
+    if I is None:
+        return
+    if unit:
+        I = Ideal(list(I.generators) + [ring.one()], ring=ring)
+    expected = _dimension_from_reduced_basis(I.generators)
+    if unit:
+        assert expected == -1
+    # leads alone on a fresh ideal, then the cached reduced basis's leads
+    fresh = Ideal(I.generators, ring=ring)
+    assert fresh.krull_dimension() == expected
+    assert fresh._gb == {}
+    fresh.groebner()
+    assert fresh.krull_dimension() == expected

@@ -209,6 +209,35 @@ def test_infinite_gate_runs_only_after_a_run_without_certificate(monkeypatch):
     assert runs == [2] and gates == [1]
 
 
+def _length_or_cap(J, cap, first=None):
+    try:
+        return local_length_at_origin(J, cap, first=first)
+    except CapExceededError:
+        return "cap exceeded"
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, PrimeField(7)]), st.booleans())
+def test_local_length_does_not_depend_on_the_first_truncation(rnd, field, shared):
+    S2 = PolyRing(field, ("x", "y"))
+    a, b = S2.var("x"), S2.var("y")
+    # the small pairs of the gate tests, finite and INFINITE, then a random
+    # pair; a shared factor through the origin makes it INFINITE
+    pairs = [[a**2, b**2], [a**2], [a**2, a * b], [a * (1 + b)], [a * (a - 1), b]]
+    f, g = _random_poly(S2, rnd), _random_poly(S2, rnd)
+    if shared:
+        h = _random_poly(S2, rnd, max_terms=3, max_deg=2, constant=False)
+        f, g = f * h, g * h
+    pairs.append([p for p in (f, g) if not p.is_zero()])
+    cap = 12
+    for gens in pairs:
+        if not gens:
+            continue
+        J = Ideal(gens, ring=S2)
+        expected = _length_or_cap(J, cap)
+        assert all(_length_or_cap(J, cap, first) == expected for first in range(2, cap + 1))
+
+
 def test_local_length_component_away_from_origin():
     from symrees.polynomials import PolyRing
 
@@ -641,6 +670,68 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
     rep = check_condition_by_length(cfg.points, perturbed, u=u, ideal=ideal)
     assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
     assert [n for p, n in runs if p == 0] == [37]
+
+
+def _traced_runs_and_gates(monkeypatch):
+    """Log each DS run as ("run", N'), each dimension test of a two-variable
+    J (the INFINITE gate) as "gate", and each length check as ("seed", s)."""
+    events = []
+    leads = verifier.lead_monomial_basis
+    krull = Ideal.krull_dimension
+    by_length = verifier.check_condition_by_length
+
+    def run(*args, **kw):
+        events.append(("run", kw["truncate_degree"]))
+        return leads(*args, **kw)
+
+    def gate(self):
+        if self.ring.nvars == 2:
+            events.append("gate")
+        return krull(self)
+
+    def seed(*args, **kw):
+        events.append(("seed", kw["seed"]))
+        return by_length(*args, **kw)
+
+    monkeypatch.setattr(verifier, "lead_monomial_basis", run)
+    monkeypatch.setattr(Ideal, "krull_dimension", gate)
+    monkeypatch.setattr(verifier, "check_condition_by_length", seed)
+    return events
+
+
+@pytest.mark.parametrize("make, schedule", [
+    (lambda: fermat(4, field=PrimeField(13, root_order=4)), [26, 32, 40]),
+    (lambda: fermat(5, field=PrimeField(31, root_order=5)), [38, 47, 58]),
+    (lambda: fermat(4), [26, 32, 40]),
+], ids=["fermat-4-f13", "fermat-5-f31", "fermat-4"])
+def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, schedule):
+    cfg = make()
+    events = _traced_runs_and_gates(monkeypatch)
+    report = verify(cfg, seed=0)
+    assert report.verdict == VERDICT_VERIFIED
+    split = events.index(("seed", 1))
+    first, confirmation = events[1:split], events[split + 1:]
+    # the first seed keeps the target's schedule and its gate; over Q(zeta_4)
+    # these are the F_p runs of the modular step
+    assert first == [("run", schedule[0]), "gate"] + [("run", n) for n in schedule[1:]]
+    assert confirmation == [("run", report.lengths["stable_at"])]
+
+
+def test_first_truncation_below_the_certificate_degree_changes_nothing(monkeypatch):
+    cfg = fermat(4, field=PrimeField(13, root_order=4))
+    ideal = cfg.points_ideal()
+    u = pick_generic_linear_form(cfg.points, seed=1, ideal=ideal)
+
+    def report(first):
+        rep = check_condition_by_length(cfg.points, cfg.witnesses, u=u, ideal=ideal, first=first)
+        return {k: v for k, v in rep.to_json_dict().items() if k != "timings_ms"}
+
+    expected = report(None)
+    assert expected["lengths"]["stable_at"] == 36
+    events = _traced_runs_and_gates(monkeypatch)
+    assert report(20) == expected
+    # the failed run at 20 pays the gate, then N' grows by a quarter
+    assert events == [("run", 20), "gate", ("run", 25), ("run", 31), ("run", 38)]
 
 
 def test_modular_length_below_rhs_is_a_bug():

@@ -710,6 +710,7 @@ def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, sche
     report = verify(cfg, seed=0)
     assert report.verdict == VERDICT_VERIFIED
     split = events.index(("seed", 1))
+    assert events[0] == ("seed", 0)
     first, confirmation = events[1:split], events[split + 1:]
     # the first seed keeps the target's schedule and its gate; over Q(zeta_4)
     # these are the F_p runs of the modular step

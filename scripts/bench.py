@@ -5,10 +5,14 @@ Usage (from the root of a symrees checkout):
 
     python3 scripts/bench.py <label>
 
-For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` twice,
-with ``--trace 0`` (end-to-end metrics) and ``--trace 1`` (per-layer
-metrics), for the ``run_seconds`` given there and at the fixed seed SEED,
-and stores the last JSON line each run prints.  It then times ``verify`` on
+For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` with
+``--trace 0`` (end-to-end metrics) and ``--trace 1`` (per-layer metrics),
+for the ``run_seconds`` given there and at the fixed seed SEED, PERFBENCH_RUNS
+times each, in rounds that visit every workload and mode once, so that a
+slow spell of the machine falls on all of them alike.  For each workload and
+mode it stores the median of every metric over those runs, with the runs'
+values beside it, so that one noisy run does not read as a change.  It then
+times ``verify`` on
 fermat-5 over Q(zeta_5) and grid-2x3, which the benchmark's workloads leave
 out, taken by name from ``run_verifications.build_jobs``: K runs each, in
 this process, with the configuration built outside the timed region; it
@@ -42,6 +46,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 K = 5
+PERFBENCH_RUNS = 3
 VERIFY_JOBS = ("fermat-5", "grid-2x3")
 KERNEL_TRUNCATION = 58
 
@@ -64,6 +69,20 @@ def perfbench(workload, seed, seconds, trace):
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def median_result(results):
+    """Result lines of several runs as one: every metric's median with its
+    per-run values, the summed attempts and failures, correct if all were."""
+    metrics = {}
+    for name, first in results[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in results]
+        metrics[name] = {"unit": first["unit"], "value": statistics.median(values),
+                         "runs": values}
+    return {"correct": all(r["correct"] for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "runs": len(results), "metrics": metrics}
 
 
 def time_verify(make, k):
@@ -95,13 +114,13 @@ def kernel_calls(jobs):
     )
 
     cfg = jobs["fermat-5-f31"]()
-    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    u = pick_generic_linear_form(cfg.points, seed=0)
     w = cfg.witnesses
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
     gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
     f3 = fermat(3)
     f4 = jobs["fermat-4"]()
-    u4 = pick_generic_linear_form(f4.points, seed=0, ideal=f4.points_ideal())
+    u4 = pick_generic_linear_form(f4.points, seed=0)
     w4 = f4.witnesses
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
@@ -136,16 +155,20 @@ def main():
 
     out = {
         "meta": {"python": platform.python_version(), "nproc": os.cpu_count(),
-                 "git_rev": git_rev(), "k": K, "seed": SEED, "seconds": seconds},
+                 "git_rev": git_rev(), "k": K, "perfbench_runs": PERFBENCH_RUNS,
+                 "seed": SEED, "seconds": seconds},
         "perfbench": {},
         "verify": {},
         "kernel": {},
     }
-    for workload in (w["name"] for w in benchmark["workloads"]):
-        for trace in (0, 1):
-            mode = "traced" if trace else "plain"
-            print(f"perfbench {workload} {mode} ...", flush=True)
-            out["perfbench"][f"{workload}/{mode}"] = perfbench(workload, SEED, seconds, trace)
+    runs = {}
+    for round_ in range(1, PERFBENCH_RUNS + 1):
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            for trace in (0, 1):
+                key = f"{workload}/{'traced' if trace else 'plain'}"
+                print(f"perfbench {key} {round_}/{PERFBENCH_RUNS} ...", flush=True)
+                runs.setdefault(key, []).append(perfbench(workload, SEED, seconds, trace))
+    out["perfbench"] = {key: median_result(results) for key, results in runs.items()}
     jobs = dict(build_jobs(False))
     for name in VERIFY_JOBS:
         print(f"verify {name} x{K} ...", flush=True)

@@ -5,8 +5,14 @@ with xi_i in the r_i-th symbolic power of the points ideal I:
 
 * the homogeneous product check: both witnesses homogeneous of degrees d1, d2,
   height((xi1, xi2)) = 2, and d1*d2 = r1*r2*e(S/I);
-* the length check against a validated linear form u: the local length of
-  S/(u, xi1, xi2) at the origin equals r1*r2 * dim_K S/(uS + I).
+* the length check against a linear form u vanishing at no point of H: the
+  local length of S/(u, xi1, xi2) at the origin equals r1*r2 * dim_K S/(uS + I).
+
+Both e(S/I) and dim_K S/(uS + I) equal #H and are not computed: H is #H
+distinct K-rational points, so I is radical and S/I is one-dimensional and
+Cohen-Macaulay with Hilbert polynomial #H, and such a u lies in no associated
+prime of I, so it is a nonzerodivisor on S/I (Cox-Little-O'Shea, Ideals,
+Varieties, and Algorithms, ch. 9).
 
 The local length is computed from one m-adically truncated standard basis of
 J + m^N' under the local order DS: its standard monomials, counted by degree,
@@ -51,7 +57,8 @@ from .errors import (
 )
 from .groebner import lead_monomial_basis, standard_count
 from .ideals import INFINITE, Ideal
-from .points import PointSet, base_ring, points_ideal, symbolic_power_membership
+from .points import PointSet, base_ring, symbolic_power_membership
+from .points import points_ideal  # noqa: F401  (unused; perfbench/tracing.py patches it by name)
 from .polynomials import DS, Polynomial, PolyRing
 
 VERDICT_VERIFIED = "condition-verified"
@@ -66,17 +73,17 @@ HARD_CAP = 256
 
 
 class GenericLinearForm:
-    """A validated linear form: vanishing at no configuration point and cutting
-    the points ideal down to colength #H."""
+    """A linear form vanishing at no point of H.  The points are distinct and
+    rational, so I_H is radical and S/I_H Cohen-Macaulay; u lies in no
+    associated prime, is a nonzerodivisor, and dim_K S/(uS + I_H) = #H."""
 
-    __slots__ = ("polynomial", "int_coefficients", "seed", "draws", "colength")
+    __slots__ = ("polynomial", "int_coefficients", "seed", "draws")
 
-    def __init__(self, polynomial, int_coefficients, seed, draws, colength):
+    def __init__(self, polynomial, int_coefficients, seed, draws):
         self.polynomial = polynomial
         self.int_coefficients = int_coefficients
         self.seed = seed
         self.draws = draws
-        self.colength = colength
 
     def __repr__(self):
         return f"GenericLinearForm({self.polynomial}, seed={self.seed})"
@@ -154,13 +161,15 @@ def _lines_over(q, seed):
     return lines[k:] + lines[:k]
 
 
-def pick_generic_linear_form(H: PointSet, seed: int, ideal: Ideal | None = None) -> GenericLinearForm:
+def pick_generic_linear_form(H: PointSet, seed: int) -> GenericLinearForm:
     """Draw u = a*x + b*y + c*z with small integer coefficients from the seed.
 
-    Accepted only if u vanishes at no point of H and dim_K S/(uS + I_H) equals
-    #H.  Up to 32 draws; over F_q with q < ENUMERATED_FIELD_BOUND, every line
-    of the plane is tried after them, so GenericityExhaustedError there means
-    no line over F_q avoids H (tiny prime fields can be blocked that way).
+    Accepted as soon as u vanishes at no point of H: I_H is radical (distinct
+    rational points) and S/I_H Cohen-Macaulay, so such a u is a
+    nonzerodivisor and dim_K S/(uS + I_H) = #H.  Up to 32 draws; over F_q
+    with q < ENUMERATED_FIELD_BOUND, every line of the plane is tried after
+    them, so GenericityExhaustedError there means no line over F_q avoids H
+    (tiny prime fields can be blocked that way).
     """
     field = H.field
     ring = base_ring(field)
@@ -175,13 +184,8 @@ def pick_generic_linear_form(H: PointSet, seed: int, ideal: Ideal | None = None)
                 u = u + ring.var(name).scale(field.from_int(c))
         if u.is_zero():
             continue  # coefficients can collapse mod p
-        if any(field.is_zero(u.evaluate(P.coords)) for P in H):
-            continue
-        if ideal is None:
-            ideal = points_ideal(H, ring)
-        colength = Ideal(list(ideal.generators) + [u], ring=ring).vector_space_dimension()
-        if colength == len(H):
-            return GenericLinearForm(u, coeffs, seed, draw, colength)
+        if not any(field.is_zero(u.evaluate(P.coords)) for P in H):
+            return GenericLinearForm(u, coeffs, seed, draw)
     if 0 < q < ENUMERATED_FIELD_BOUND:
         raise GenericityExhaustedError(
             f"none of the {q * q + q + 1} lines over F_{q} avoids the {len(H)} points"
@@ -412,20 +416,15 @@ def _eliminate_along(u: GenericLinearForm, polys):
     return out
 
 
-def check_homogeneous_condition(H: PointSet, witnesses, ideal: Ideal | None = None,
+def check_homogeneous_condition(H: PointSet, witnesses,
                                 precomputed_memberships=None) -> VerificationReport:
-    """Product-form criterion for a homogeneous witness pair."""
+    """Product-form criterion for a homogeneous witness pair, with e(S/I_H) = #H."""
     if not witnesses.both_homogeneous():
         raise NotHomogeneousError("both witnesses must be homogeneous for this check")
     field = H.field
     ring = base_ring(field)
     report = VerificationReport(config=None, field=field.spec.to_json(), seed=None)
     report.method = METHOD_HOMOGENEOUS
-    t0 = time.monotonic()
-    if ideal is None:
-        ideal = points_ideal(H, ring)
-    report.timings_ms["points_ideal"] = _ms(t0)
-
     t0 = time.monotonic()
     memberships = precomputed_memberships or membership_results(H, witnesses, ring)
     report.memberships = memberships
@@ -441,7 +440,7 @@ def check_homogeneous_condition(H: PointSet, witnesses, ideal: Ideal | None = No
     report.timings_ms["height"] = _ms(t0)
 
     t0 = time.monotonic()
-    e = ideal.hilbert_multiplicity()
+    e = len(H)
     d1 = witnesses.xi1.total_degree()
     d2 = witnesses.xi2.total_degree()
     holds = d1 * d2 == witnesses.r1 * witnesses.r2 * e
@@ -460,11 +459,11 @@ def check_homogeneous_condition(H: PointSet, witnesses, ideal: Ideal | None = No
 
 def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | None = None,
                               seed: int = 0, cap: int | None = None,
-                              ideal: Ideal | None = None,
                               precomputed_memberships=None,
                               first: int | None = None) -> VerificationReport:
-    """Length-equality criterion: local length of (u, xi1, xi2) vs r1*r2*dim S/(uS+I).
+    """Length-equality criterion: local length of (u, xi1, xi2) vs r1*r2*#H.
 
+    A given ``u`` that vanishes at a point of H raises InputError.
     ``first``, when given, is the first truncation degree N' of the length's
     DS runs in place of the one picked from rhs; it never changes the
     report (see ``local_length_at_origin``)."""
@@ -472,11 +471,6 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
     ring = base_ring(field)
     report = VerificationReport(config=None, field=field.spec.to_json(), seed=seed)
     report.method = METHOD_LENGTH
-
-    t0 = time.monotonic()
-    if ideal is None:
-        ideal = points_ideal(H, ring)
-    report.timings_ms["points_ideal"] = _ms(t0)
 
     t0 = time.monotonic()
     memberships = precomputed_memberships or membership_results(H, witnesses, ring)
@@ -487,12 +481,12 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
 
     t0 = time.monotonic()
     if u is None:
-        u = pick_generic_linear_form(H, seed, ideal=ideal)
+        u = pick_generic_linear_form(H, seed)
+    elif any(field.is_zero(u.polynomial.evaluate(P.coords)) for P in H):
+        raise InputError("the linear form vanishes at a point of H")
     report.u = str(u.polynomial)
     report.seed = u.seed
-    if u.colength != len(H):
-        raise InputError("the linear form fails the colength validation")
-    rhs = witnesses.r1 * witnesses.r2 * u.colength
+    rhs = witnesses.r1 * witnesses.r2 * len(H)
     report.timings_ms["linear_form"] = _ms(t0)
 
     t0 = time.monotonic()
@@ -551,10 +545,6 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     ring = config.ring
     stages = {}
     t0 = time.monotonic()
-    ideal = config.points_ideal()
-    stages["points_ideal"] = _ms(t0)
-
-    t0 = time.monotonic()
     memberships = membership_results(H, witnesses, ring)
     stages["memberships"] = _ms(t0)
 
@@ -569,13 +559,13 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
         return report
 
     if witnesses.both_homogeneous():
-        report = check_homogeneous_condition(H, witnesses, ideal=ideal,
+        report = check_homogeneous_condition(H, witnesses,
                                              precomputed_memberships=memberships)
     else:
-        report = check_condition_by_length(H, witnesses, seed=seed, cap=cap, ideal=ideal,
+        report = check_condition_by_length(H, witnesses, seed=seed, cap=cap,
                                            precomputed_memberships=memberships)
         t0 = time.monotonic()
-        second = check_condition_by_length(H, witnesses, seed=seed + 1, cap=cap, ideal=ideal,
+        second = check_condition_by_length(H, witnesses, seed=seed + 1, cap=cap,
                                            precomputed_memberships=memberships,
                                            first=report.lengths.get("stable_at"))
         stages["confirmation"] = _ms(t0)

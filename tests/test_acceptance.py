@@ -299,10 +299,9 @@ def test_criterion_7_inequality_suite():
     assert len(pairs) >= 20
     count_inf = count_strict = 0
     for cfg, witnesses in pairs:
-        ideal = cfg.points_ideal()
         assert symbolic_power_membership(witnesses.xi1, cfg.points, witnesses.r1)
         assert symbolic_power_membership(witnesses.xi2, cfg.points, witnesses.r2)
-        report = check_condition_by_length(cfg.points, witnesses, ideal=ideal)
+        report = check_condition_by_length(cfg.points, witnesses)
         lhs, rhs = report.lengths["lhs"], report.lengths["rhs"]
         if lhs == INFINITE:
             count_inf += 1

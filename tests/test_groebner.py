@@ -278,7 +278,7 @@ def test_truncated_run_ends_at_its_first_covered_degree(monkeypatch):
     from symrees.verifier import _eliminate_along, _truncation_inputs, pick_generic_linear_form
 
     cfg = fermat(4, field=PrimeField(13, root_order=4))
-    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    u = pick_generic_linear_form(cfg.points, seed=0)
     a, b = _eliminate_along(u, [cfg.witnesses.xi1, cfg.witnesses.xi2])
     gens = _truncation_inputs([a, b], a.ring, 40)
     reduce = groebner._reduce

@@ -47,17 +47,24 @@ def P(*coords, field=Q):
 # --- generic linear forms ---------------------------------------------------------
 
 
+def _colength_with(u, H):
+    """dim_K S/(uS + I_H), computed; the verifier takes it to be #H."""
+    ring = base_ring(H.field)
+    gens = list(points_ideal(H, ring).generators) + [u.polynomial]
+    return Ideal(gens, ring=ring).vector_space_dimension()
+
+
 def test_pick_generic_form_single_point():
     H = PointSet([P(0, 0, 1)])
     u = pick_generic_linear_form(H, seed=0)
-    assert u.colength == 1
+    assert _colength_with(u, H) == 1
     assert not Q.is_zero(u.polynomial.evaluate((0, 0, 1)))
 
 
 def test_pick_generic_form_two_points_colength():
     H = PointSet([P(1, 0, 0), P(0, 1, 0)])
     u = pick_generic_linear_form(H, seed=0)
-    assert u.colength == 2
+    assert _colength_with(u, H) == 2
     # hand-checked instance: (x + y + z, z, x*y) has basis {z, x + y, x^2}
     # with standard monomials {1, x}
     I = points_ideal(H, R)
@@ -117,8 +124,28 @@ def test_linear_form_found_exactly_when_a_line_avoids_the_points(rnd, q, with_li
         assert not exists
     else:
         assert exists
-        assert u.colength == len(H)
+        assert _colength_with(u, H) == len(H)
         assert not any(F.is_zero(u.polynomial.evaluate(pt.coords)) for pt in H)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("make", [
+    lambda: fermat(3), lambda: fermat(4), lambda: grid_example(2, 2), lambda: grid_example(2, 3),
+], ids=["fermat-3", "fermat-4", "grid-2x2", "grid-2x3"])
+def test_accepted_form_cuts_the_points_ideal_to_colength_h(make, seed):
+    # u avoids H, so it is a nonzerodivisor on S/I_H and dim S/(uS + I_H) = #H
+    cfg = make()
+    u = pick_generic_linear_form(cfg.points, seed=seed)
+    assert _colength_with(u, cfg.points) == len(cfg.points)
+
+
+def test_given_form_through_a_point_is_rejected():
+    # x - y vanishes at (1:1:1), one of fermat-3's points
+    cfg = fermat(3)
+    ring = cfg.ring
+    u = GenericLinearForm(ring.var("x") - ring.var("y"), (1, -1, 0), 0, 0)
+    with pytest.raises(InputError):
+        check_condition_by_length(cfg.points, cfg.witnesses, u=u)
 
 
 @pytest.mark.parametrize("line", [(0, 1, 0), (1, 0, 0)], ids=["y", "x"])
@@ -137,10 +164,9 @@ def test_linear_form_enumeration_keeps_the_seeded_draws():
     # over F_13, seed 53 exhausts its 32 draws on fermat-4 and the enumeration
     # supplies a line; seed 0 finds one among its draws, as before
     cfg = fermat(4, field=PrimeField(13, root_order=4))
-    ideal = cfg.points_ideal()
-    late = pick_generic_linear_form(cfg.points, seed=53, ideal=ideal)
+    late = pick_generic_linear_form(cfg.points, seed=53)
     assert late.draws >= verifier.GENERIC_FORM_DRAWS
-    early = pick_generic_linear_form(cfg.points, seed=0, ideal=ideal)
+    early = pick_generic_linear_form(cfg.points, seed=0)
     assert early.draws < verifier.GENERIC_FORM_DRAWS
 
 
@@ -280,7 +306,7 @@ def test_default_cap_monotone_and_bounded():
 
 def test_homogeneous_check_three_points():
     cfg = three_points(P(1, 0, 0), P(0, 1, 0), P(0, 0, 1))
-    rep = check_homogeneous_condition(cfg.points, cfg.witnesses, ideal=cfg.points_ideal())
+    rep = check_homogeneous_condition(cfg.points, cfg.witnesses)
     assert rep.method == METHOD_HOMOGENEOUS
     assert rep.height == 2
     assert rep.product_check == {"d1": 3, "d2": 2, "r1": 2, "r2": 1, "e": 3, "holds": True}
@@ -297,7 +323,7 @@ def test_degenerate_pair_fails_on_height():
     cfg = fermat(3)
     w = cfg.witnesses
     degenerate = WitnessPair(w.xi1, w.r1, w.xi1, w.r1)
-    rep = check_homogeneous_condition(cfg.points, degenerate, ideal=cfg.points_ideal())
+    rep = check_homogeneous_condition(cfg.points, degenerate)
     assert rep.height == 1
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
 
@@ -307,7 +333,7 @@ def test_degenerate_pair_fails_on_height():
 
 def test_length_check_grid22():
     cfg = grid_example(2, 2)
-    rep = check_condition_by_length(cfg.points, cfg.witnesses, ideal=cfg.points_ideal())
+    rep = check_condition_by_length(cfg.points, cfg.witnesses)
     assert rep.method == METHOD_LENGTH
     assert rep.lengths["lhs"] == rep.lengths["rhs"] == 48
     assert rep.verdict == VERDICT_VERIFIED
@@ -317,22 +343,22 @@ def test_length_check_membership_precondition():
     cfg = grid_example(2, 2)
     bad = WitnessPair(x, 4, y, 2)
     with pytest.raises(MembershipFailedError):
-        check_condition_by_length(cfg.points, bad, ideal=cfg.points_ideal())
+        check_condition_by_length(cfg.points, bad)
 
 
 def test_length_check_agrees_with_homogeneous_route():
     # cross-validation on a homogeneous pair: both routes must verify
     cfg = three_points(P(1, 0, 0), P(0, 1, 0), P(0, 0, 1))
-    rep_h = check_homogeneous_condition(cfg.points, cfg.witnesses, ideal=cfg.points_ideal())
-    rep_l = check_condition_by_length(cfg.points, cfg.witnesses, ideal=cfg.points_ideal())
+    rep_h = check_homogeneous_condition(cfg.points, cfg.witnesses)
+    rep_l = check_condition_by_length(cfg.points, cfg.witnesses)
     assert rep_h.verdict == rep_l.verdict == VERDICT_VERIFIED
     assert rep_l.lengths["lhs"] == rep_l.lengths["rhs"] == 2 * 1 * 3
 
 
 def test_routes_agree_on_fermat3():
     cfg = fermat(3)
-    rep_h = check_homogeneous_condition(cfg.points, cfg.witnesses, ideal=cfg.points_ideal())
-    rep_l = check_condition_by_length(cfg.points, cfg.witnesses, ideal=cfg.points_ideal())
+    rep_h = check_homogeneous_condition(cfg.points, cfg.witnesses)
+    rep_l = check_condition_by_length(cfg.points, cfg.witnesses)
     assert rep_h.verdict == rep_l.verdict == VERDICT_VERIFIED
     assert rep_l.lengths["lhs"] == rep_l.lengths["rhs"] == 3 * 2 * 12
 
@@ -359,7 +385,7 @@ def test_local_length_against_component_split_oracle():
         (fermat(4, field=PrimeField(13, root_order=4)), 304),
     ]
     for cfg, expected in cases:
-        u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+        u = pick_generic_linear_form(cfg.points, seed=0)
         w = cfg.witnesses
         a, b = _eliminate_along(u, [w.xi1, w.xi2])
         J = Ideal([a, b], ring=a.ring)
@@ -372,7 +398,7 @@ def test_truncated_colengths_are_monotone_and_stay_flat():
     from symrees.verifier import _eliminate_along
 
     cfg = grid_example(2, 2)
-    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    u = pick_generic_linear_form(cfg.points, seed=0)
     w = cfg.witnesses
     x1s, x2s = _eliminate_along(u, [w.xi1, w.xi2])
     vals = [truncated_colength([x1s, x2s], x1s.ring, n) for n in range(2, 22)]
@@ -408,7 +434,7 @@ def test_local_order_colengths_match_grevlex_oracle():
     from symrees.verifier import _eliminate_along
 
     for cfg in (grid_example(2, 2), fermat(4, field=PrimeField(13, root_order=4))):
-        u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+        u = pick_generic_linear_form(cfg.points, seed=0)
         w = cfg.witnesses
         xv = cfg.ring.var("x")
         pairs = [
@@ -483,7 +509,7 @@ def test_eliminated_witnesses_keep_integer_coordinates(make):
     from symrees.verifier import _eliminate_along
 
     cfg = make()
-    u = pick_generic_linear_form(cfg.points, seed=0, ideal=cfg.points_ideal())
+    u = pick_generic_linear_form(cfg.points, seed=0)
     w = cfg.witnesses
     assert all(_integer_coordinates(p) for p in _eliminate_along(u, [w.xi1, w.xi2]))
 
@@ -502,7 +528,7 @@ def test_elimination_along_u_matches_the_quotient_formula(rnd, field):
         terms = {tuple(rnd.randint(0, 3) for _ in range(3)): _random_scalar(field, rnd)
                  for _ in range(rnd.randint(1, 4))}
         polys.append(Polynomial.from_dict(ring, terms))
-    u = GenericLinearForm(None, coeffs, 0, 0, 0)
+    u = GenericLinearForm(None, coeffs, 0, 0)
     images = _eliminate_along(u, polys)
     expected = eliminate_by_quotient(coeffs, polys)
     if field.characteristic == 0:
@@ -521,11 +547,11 @@ def test_elimination_pivot_is_nonzero_in_the_field():
 
     F7 = PrimeField(7)
     ring = base_ring(F7)
-    u = GenericLinearForm(None, (-1, 2, 7), 0, 0, 0)
+    u = GenericLinearForm(None, (-1, 2, 7), 0, 0)
     (image,) = _eliminate_along(u, [ring.var("x") + ring.var("y") + ring.var("z")])
     assert image.ring.variables == ("x", "z")
     cfg = grid_example(2, 2, field=F7)
-    assert pick_generic_linear_form(cfg.points, seed=5, ideal=cfg.points_ideal()).int_coefficients == (-1, 2, 7)
+    assert pick_generic_linear_form(cfg.points, seed=5).int_coefficients == (-1, 2, 7)
     assert verify(cfg, seed=5).verdict == VERDICT_VERIFIED
 
 
@@ -536,10 +562,10 @@ def _eliminated_witnesses(cfg, seed):
     """The two-variable ideal J of the length route and its rhs r1*r2*#H."""
     from symrees.verifier import _eliminate_along
 
-    u = pick_generic_linear_form(cfg.points, seed=seed, ideal=cfg.points_ideal())
+    u = pick_generic_linear_form(cfg.points, seed=seed)
     w = cfg.witnesses
     a, b = _eliminate_along(u, [w.xi1, w.xi2])
-    return Ideal([a, b], ring=a.ring), w.r1 * w.r2 * u.colength
+    return Ideal([a, b], ring=a.ring), w.r1 * w.r2 * len(cfg.points)
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -635,8 +661,7 @@ def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
     cfg = fermat(4)
     w = cfg.witnesses
     perturbed = WitnessPair(w.xi1 * cfg.ring.var("x"), w.r1, w.xi2, w.r2)
-    ideal = cfg.points_ideal()
-    u = pick_generic_linear_form(cfg.points, seed=0, ideal=ideal)
+    u = pick_generic_linear_form(cfg.points, seed=0)
     characteristics = []
     krull = Ideal.krull_dimension
 
@@ -645,7 +670,7 @@ def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
         return krull(self)
 
     monkeypatch.setattr(Ideal, "krull_dimension", counted)
-    rep = check_condition_by_length(cfg.points, perturbed, u=u, ideal=ideal)
+    rep = check_condition_by_length(cfg.points, perturbed, u=u)
     assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
     assert 0 not in characteristics
@@ -657,8 +682,7 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
     cfg = fermat(4)
     w = cfg.witnesses
     perturbed = WitnessPair(w.xi1 * cfg.ring.var("x"), w.r1, w.xi2, w.r2)
-    ideal = cfg.points_ideal()
-    u = pick_generic_linear_form(cfg.points, seed=0, ideal=ideal)
+    u = pick_generic_linear_form(cfg.points, seed=0)
     runs = []
     leads = verifier.lead_monomial_basis
 
@@ -667,7 +691,7 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
         return leads(gens, order=order, truncate_degree=truncate_degree)
 
     monkeypatch.setattr(verifier, "lead_monomial_basis", counted)
-    rep = check_condition_by_length(cfg.points, perturbed, u=u, ideal=ideal)
+    rep = check_condition_by_length(cfg.points, perturbed, u=u)
     assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
     assert [n for p, n in runs if p == 0] == [37]
 
@@ -720,11 +744,10 @@ def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, sche
 
 def test_first_truncation_below_the_certificate_degree_changes_nothing(monkeypatch):
     cfg = fermat(4, field=PrimeField(13, root_order=4))
-    ideal = cfg.points_ideal()
-    u = pick_generic_linear_form(cfg.points, seed=1, ideal=ideal)
+    u = pick_generic_linear_form(cfg.points, seed=1)
 
     def report(first):
-        rep = check_condition_by_length(cfg.points, cfg.witnesses, u=u, ideal=ideal, first=first)
+        rep = check_condition_by_length(cfg.points, cfg.witnesses, u=u, first=first)
         return {k: v for k, v in rep.to_json_dict().items() if k != "timings_ms"}
 
     expected = report(None)
@@ -747,7 +770,7 @@ def test_length_check_same_witness_twice_is_infinite():
     cfg = grid_example(2, 2)
     w = cfg.witnesses
     degenerate = WitnessPair(w.xi1, w.r1, w.xi1, w.r1)
-    rep = check_condition_by_length(cfg.points, degenerate, ideal=cfg.points_ideal())
+    rep = check_condition_by_length(cfg.points, degenerate)
     assert rep.lengths["lhs"] == INFINITE
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
 
@@ -756,7 +779,7 @@ def test_length_check_perturbed_witness_strictly_exceeds():
     cfg = grid_example(2, 2)
     w = cfg.witnesses
     perturbed = WitnessPair(w.xi1 * x, w.r1, w.xi2, w.r2)
-    rep = check_condition_by_length(cfg.points, perturbed, ideal=cfg.points_ideal())
+    rep = check_condition_by_length(cfg.points, perturbed)
     lhs = rep.lengths["lhs"]
     assert lhs == INFINITE or lhs > rep.lengths["rhs"]
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
@@ -792,8 +815,10 @@ def test_verify_grid22_runs_second_seed():
 def test_verify_times_stages_and_confirmation():
     rep = verify(grid_example(2, 2), seed=0)
     timings = rep.timings_ms
-    for key in ("points_ideal", "memberships", "linear_form", "local_length", "confirmation"):
+    for key in ("memberships", "linear_form", "local_length", "confirmation"):
         assert isinstance(timings[key], float)
+    # the points ideal is not computed, so it has no stage
+    assert "points_ideal" not in timings
     # a flat name -> ms map whose stages fit inside the total
     assert all(isinstance(v, float) for v in timings.values())
     assert sum(v for k, v in timings.items() if k != "total") <= timings["total"] + 1.0
@@ -848,8 +873,7 @@ def test_verify_asymmetric_pencils():
 
 def test_validated_form_reuse():
     cfg = grid_example(2, 2)
-    ideal = cfg.points_ideal()
-    u = pick_generic_linear_form(cfg.points, seed=3, ideal=ideal)
-    rep = check_condition_by_length(cfg.points, cfg.witnesses, u=u, ideal=ideal)
+    u = pick_generic_linear_form(cfg.points, seed=3)
+    rep = check_condition_by_length(cfg.points, cfg.witnesses, u=u)
     assert rep.verdict == VERDICT_VERIFIED
     assert rep.seed == 3

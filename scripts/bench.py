@@ -28,7 +28,9 @@ Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
 linear form (the substitution that starts every length route), and one
 INFINITE gate (``_meets_positive_dimension`` on a fresh ideal of the seed-0
 eliminated witnesses of fermat-5 over F_31, the test the first seed pays
-after its first run without a certificate).  The file
+after its first run without a certificate).  It also times the scalar layer:
+``rationalizing_factor`` over Q(zeta_5) on FACTOR_ELEMENTS integral elements
+with FACTOR_BITS-bit coordinates drawn at seed SEED.  The file
 goes to the root of the checkout, with the Python version, ``nproc``, the
 git revision and K.  Every timing is taken with ``time.perf_counter``.
 """
@@ -38,6 +40,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -49,6 +52,8 @@ K = 5
 PERFBENCH_RUNS = 3
 VERIFY_JOBS = ("fermat-5", "grid-2x3")
 KERNEL_TRUNCATION = 58
+FACTOR_ELEMENTS = 500
+FACTOR_BITS = 32
 
 
 def git_rev():
@@ -102,6 +107,7 @@ def time_verify(make, k):
 def kernel_calls(jobs):
     """The kernel block's calls, keyed by name, with their inputs built."""
     from symrees.configs import fermat
+    from symrees.fields import CyclotomicField
     from symrees.groebner import lead_monomial_basis
     from symrees.points import points_ideal, symbolic_power_ideal
     from symrees.polynomials import DS
@@ -122,6 +128,11 @@ def kernel_calls(jobs):
     f4 = jobs["fermat-4"]()
     u4 = pick_generic_linear_form(f4.points, seed=0)
     w4 = f4.witnesses
+    q5 = CyclotomicField(5)
+    rng = random.Random(SEED)
+    bound = 1 << FACTOR_BITS
+    elements = [tuple(rng.randint(-bound, bound) for _ in range(q5.degree))
+                for _ in range(FACTOR_ELEMENTS)]
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
             gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
@@ -131,6 +142,7 @@ def kernel_calls(jobs):
         # a fresh Ideal per call: a cached basis would make later calls free
         "infinite_gate_fermat-5-f31": lambda: _meets_positive_dimension(
             Ideal([xi1, xi2], ring=xi1.ring)),
+        "rationalizing_factor_q-zeta5": lambda: [q5.rationalizing_factor(a) for a in elements],
     }
 
 

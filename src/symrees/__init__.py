@@ -44,7 +44,6 @@ from .configs import (
     fermat,
     grid_example,
     line_through,
-    split_binomial,
     three_points,
     two_pencils,
 )

@@ -17,10 +17,8 @@ from .errors import (
     DuplicatePointsError,
     FactorThroughWrongPointError,
     InputError,
-    MissingRootsError,
     ProportionalFactorsError,
     SamePointError,
-    UnsupportedFormError,
     UnsupportedNError,
 )
 from .fields import CyclotomicField, Field, RationalField
@@ -106,6 +104,12 @@ def _line_intersection(f, g, field):
 
 def _vanishes_at(f, point):
     return point.field.is_zero(f.evaluate(point.coords))
+
+
+def _roots_of_unity(field, k):
+    """1, zeta_k, ..., zeta_k^(k-1) for a primitive k-th root of unity zeta_k."""
+    zeta = field.root_of_unity(k)
+    return [field.pow(zeta, j) for j in range(k)]
 
 
 # --- three points ----------------------------------------------------------------
@@ -270,9 +274,11 @@ def grid_example(m: int, n: int, field: Field | None = None) -> Configuration:
     if field.characteristic and (m * n) % field.characteristic == 0:
         raise InputError(f"characteristic {field.characteristic} divides m*n")
     ring = base_ring(field)
-    y, z, x = ring.var("y"), ring.var("z"), ring.var("x")
-    f_factors = split_binomial(y**m - z**m)
-    g_factors = split_binomial(z**n - x**n)
+    x, y, z = (ring.var(v) for v in ("x", "y", "z"))
+    # y^m - z^m = -prod_j (z - zeta_m^j y) and z^n - x^n = prod_j (z - zeta_n^j x)
+    f_factors = [z - y.scale(w) for w in _roots_of_unity(field, m)]
+    f_factors[0] = -f_factors[0]
+    g_factors = [z - x.scale(w) for w in _roots_of_unity(field, n)]
     a = ProjectivePoint(field, [1, 0, 0])
     b = ProjectivePoint(field, [0, 1, 0])
     cfg = two_pencils(f_factors, g_factors, a, b)
@@ -280,108 +286,3 @@ def grid_example(m: int, n: int, field: Field | None = None) -> Configuration:
     cfg.points.label = cfg.label
     cfg.provenance = {"kind": "grid", "m": m, "n": n, "field": field.spec.to_json()}
     return cfg
-
-
-def split_binomial(poly: Polynomial):
-    """Split c1*u^k - c2*v^k into k linear factors, when the field has the roots.
-
-    Supported when the field contains a primitive k-th root of unity and a
-    k-th root of c2/c1 it can name (always the case for ratio 1; prime fields
-    search exhaustively; a rational ratio is handled by exact integer roots).
-    """
-    ring = poly.ring
-    field = ring.field
-    terms = sorted(poly.terms.items())  # fix a deterministic choice of "first" term
-    if len(terms) != 2:
-        raise UnsupportedFormError("expected exactly two terms")
-    (m1, c1), (m2, c2) = terms
-    v1 = [i for i, e in enumerate(m1) if e]
-    v2 = [i for i, e in enumerate(m2) if e]
-    if len(v1) != 1 or len(v2) != 1 or v1 == v2:
-        raise UnsupportedFormError("expected pure powers of two distinct variables")
-    i1, i2 = v1[0], v2[0]
-    k = m1[i1]
-    if k != m2[i2] or k < 1:
-        raise UnsupportedFormError("the two pure powers must have the same positive degree")
-    ratio = field.div(field.neg(c2), c1)
-    rho = _kth_root(field, ratio, k)
-    zeta = field.root_of_unity(k) if k > 1 else field.one
-    u = ring.var(ring.variables[i1])
-    v = ring.var(ring.variables[i2])
-    factors = []
-    omega = field.one
-    for j in range(k):
-        fac = u - v.scale(field.mul(rho, omega))
-        if j == 0:
-            fac = fac.scale(c1)
-        factors.append(fac)
-        omega = field.mul(omega, zeta)
-    check = factors[0]
-    for fac in factors[1:]:
-        check = check * fac
-    if check != poly:
-        raise UnsupportedFormError("factorization failed to multiply back")  # defensive
-    return factors
-
-
-def _iroot(a: int, k: int):
-    """Exact integer k-th root, or None."""
-    if a == 0:
-        return 0
-    neg = a < 0
-    if neg and k % 2 == 0:
-        return None
-    a = abs(a)
-    # integer Newton from a power of two above the root; it decreases to floor(a^(1/k))
-    r = 1 << -(-a.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + a // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    if r**k != a:
-        return None
-    return -r if neg else r
-
-
-def _kth_root(field, ratio, k):
-    if ratio == field.one:
-        return field.one
-    if field.characteristic:
-        p = field.characteristic
-        for g in range(1, p):
-            if pow(g, k, p) == ratio:
-                return g
-        raise MissingRootsError(f"no {k}-th root of {ratio} in F_{p}")
-    # characteristic zero: try an exact rational root, possibly twisted by a
-    # root of unity the field knows about
-    rational = None
-    if isinstance(field, RationalField):
-        rational = ratio
-    elif isinstance(field, CyclotomicField) and all(c == 0 for c in ratio[1:]):
-        rational = ratio[0]
-    if rational is not None:
-        from fractions import Fraction
-
-        q = Fraction(rational)
-        rn, rd = _iroot(q.numerator, k), _iroot(q.denominator, k)
-        if rn is not None and rd is not None:
-            return field.from_fraction(Fraction(rn, rd))
-        if isinstance(field, CyclotomicField) and k % 2 == 0:
-            # maybe -(ratio) has a root and the field holds a primitive 2k-th root
-            rn, rd = _iroot(-q.numerator, k), _iroot(q.denominator, k)
-            if rn is not None and rd is not None:
-                try:
-                    tw = field.root_of_unity(2 * k)
-                    return field.mul(field.from_fraction(Fraction(rn, rd)), tw)
-                except MissingRootsError:
-                    pass
-    if isinstance(field, CyclotomicField):
-        # powers of the distinguished generator
-        cand = field.one
-        gen = field.generator()
-        for _ in range(field.n):
-            cand = field.mul(cand, gen)
-            if field.pow(cand, k) == ratio:
-                return cand
-    raise MissingRootsError(f"cannot express a {k}-th root of the coefficient ratio")

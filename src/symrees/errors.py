@@ -107,10 +107,6 @@ class SamePointError(InputError):
     """Two distinct points are required."""
 
 
-class UnsupportedFormError(InputError):
-    """Only two-variable binomials c1*u^k - c2*v^k are factored here."""
-
-
 # --- verification -----------------------------------------------------------
 
 class GenericityExhaustedError(InputError):

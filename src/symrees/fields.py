@@ -11,6 +11,15 @@ layer can stay lightweight:
 Integers are used wherever possible (they interoperate with Fraction and are
 much faster); polynomials are regularly rescaled to integer content one
 elsewhere, which keeps that property alive through long reductions.
+
+Q(zeta_n) is Galois over Q with group {sigma_k: zeta -> zeta^k, k prime to n},
+so no Euclid is needed to invert in it.  For a nonzero a the product
+P = prod_{k != 1} sigma_k(a) of its other conjugates gives a * P = N(a), the
+norm of a: a nonzero rational, integral when a is.  Hence a^-1 = P / N(a).
+For n >= 3 the field is CM (complex conjugation is sigma_(n-1) and commutes
+with every sigma_k), so the conjugates pair off as sigma_k(a) and its complex
+conjugate and N(a) is a product of squared absolute values: N(a) > 0, and P
+is a positive multiple of a^-1.
 """
 
 from __future__ import annotations
@@ -368,6 +377,15 @@ class CyclotomicField(Field):
             self.add = lambda a, b: (a[0] + b[0], a[1] + b[1])
             self.sub = lambda a, b: (a[0] - b[0], a[1] - b[1])
             self.neg = lambda a: (-a[0], -a[1])
+        # _images[k][i] is sigma_k(zeta^i) = zeta^(k*i mod n) in the power basis
+        powers, gen = [self.one], self.generator()
+        for _ in range(n - 1):
+            powers.append(self.mul(powers[-1], gen))
+        self._images = {
+            k: [powers[k * i % n] for i in range(d)]
+            for k in range(1, max(n, 2)) if gcd(k, n) == 1
+        }
+        self._others = [k for k in self._images if k != 1]
 
     @staticmethod
     def _make_mul2(r0, r1):
@@ -407,27 +425,32 @@ class CyclotomicField(Field):
                         prod[i] += c * ri
         return tuple(prod[:d])
 
+    def conjugate(self, a, k):
+        """sigma_k(a): a with zeta replaced by zeta^k, for 1 <= k < n prime
+        to n (k = 1 when n = 1)."""
+        out = [0] * self.degree
+        for ai, image in zip(a, self._images[k]):
+            if ai:
+                for j, c in enumerate(image):
+                    if c:
+                        out[j] += ai * c
+        return tuple(out)
+
+    def _cofactor(self, a):
+        """prod_{k != 1} sigma_k(a): a times it is the norm N(a)."""
+        conjugates = [self.conjugate(a, k) for k in self._others]
+        return functools.reduce(self.mul, conjugates) if conjugates else self.one
+
     def inv(self, a):
+        """P / N(a) with P the product of the other conjugates of a (see the
+        module docstring); coordinates are ints where integral."""
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid against Phi_n; the gcd is a nonzero constant since
-        # Phi_n is irreducible over Q and deg a < deg Phi_n.
-        r0 = [Fraction(c) for c in self._phi]
-        r1 = [Fraction(c) for c in a]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        v0, v1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-            if not r1:
-                raise ArithmeticError("element shares a factor with the modulus")
-        c = r1[0]
-        d = self.degree
-        out = [x / c for x in v1]
-        out += [Fraction(0)] * (d - len(out))
-        return tuple(self.from_fraction_coord(x) for x in out[:d])
+        cofactor = self._cofactor(a)
+        norm = self.mul(a, cofactor)
+        if any(norm[1:]):
+            raise ArithmeticError("the conjugates of an element multiply to an irrational norm")
+        return tuple(self.from_fraction_coord(Fraction(x, norm[0])) for x in cofactor)
 
     @staticmethod
     def from_fraction_coord(x):
@@ -471,17 +494,20 @@ class CyclotomicField(Field):
         return out
 
     def rationalizing_factor(self, a):
-        """a^-1 with its denominators cleared, when a is not rational: the
-        product with a is then a rational integer.  Integer content alone
-        cannot remove an algebraic-integer factor of Z[zeta_n]."""
+        """The product of the other conjugates of a at integer content one,
+        when a is not rational: its product with a is the norm N(a) over
+        that content, a rational integer, and positive since the field is CM
+        (see the module docstring), so the factor is the positive primitive
+        multiple of a^-1.  Integer content alone cannot remove an
+        algebraic-integer factor of Z[zeta_n]."""
         if not any(a[1:]):
             return None
-        inv = self.inv(a)
-        scale = _int_content_scale(inv)
+        cofactor = self._cofactor(a)
+        scale = _int_content_scale(cofactor)
         if scale is None:
-            return inv
+            return cofactor
         lden, g = scale
-        return tuple(n * (lden // d) // g for n, d in map(_num_den, inv))
+        return tuple(n * (lden // d) // g for n, d in map(_num_den, cofactor))
 
     def reduction_mod_prime(self):
         """(F_p, reduce) for the degree-one prime P = ker(zeta -> omega) of
@@ -594,44 +620,3 @@ def make_field(spec: FieldSpec) -> Field:
     if spec.kind == "prime":
         return PrimeField(spec.p, root_order=spec.n)
     raise InputError(f"unknown field kind {spec.kind!r}")
-
-
-# --- dense univariate helpers over Q (used by the cyclotomic inverse) --------
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / lead
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out

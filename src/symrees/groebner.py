@@ -15,8 +15,9 @@ element to integer content 1 with a rational-integer lead coefficient.  Over
 Q(zeta_n) that takes one more step: integer content cannot remove a unit or
 other algebraic-integer factor of the lead, which the cross-multiplication in
 ``_reduce`` would otherwise carry into every later reduction, so the element
-is multiplied by the lead's inverse with its denominators cleared
-(``Field.rationalizing_factor``) before the content is stripped again.
+is multiplied by the product of the lead's other conjugates, which takes the
+lead to its norm, a positive rational integer (``Field.rationalizing_factor``),
+before the content is stripped again.
 Prime-field runs make elements monic instead.
 
 One division loop, ``_reduce``, serves S-pair reduction, interreduction and

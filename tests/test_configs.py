@@ -6,7 +6,6 @@ from symrees.configs import (
     fermat,
     grid_example,
     line_through,
-    split_binomial,
     three_points,
     two_pencils,
 )
@@ -16,14 +15,13 @@ from symrees.errors import (
     DegenerateParametersError,
     DuplicatePointsError,
     FactorThroughWrongPointError,
-    MissingRootsError,
     ProportionalFactorsError,
     SamePointError,
-    UnsupportedFormError,
     UnsupportedNError,
 )
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.ideals import Ideal
+from symrees.parsing import parse_polynomial
 from symrees.points import ProjectivePoint, base_ring, points_ideal, symbolic_power_membership
 
 Q = RationalField()
@@ -205,51 +203,32 @@ def test_two_pencils_h_line():
     assert line_through(a, b, cfg.ring) == z
 
 
-# --- binomial splitting ----------------------------------------------------------------
+# --- the grid's pencils ----------------------------------------------------------------
 
 
-def test_split_binomial_over_cyclotomic():
-    F = CyclotomicField(3)
-    S = base_ring(F)
-    Y, Z = S.var("y"), S.var("z")
-    factors = split_binomial(Y**3 - Z**3)
-    assert len(factors) == 3
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    assert prod == Y**3 - Z**3
-    assert all(f.degree_and_homogeneity() == (1, True) for f in factors)
-
-
-def test_split_binomial_over_rationals():
-    factors = split_binomial(x**2 - y**2)
-    prod = factors[0] * factors[1]
-    assert prod == x**2 - y**2
-
-
-def test_split_binomial_missing_roots():
-    with pytest.raises(MissingRootsError):
-        split_binomial(y**2 + z**2)
-
-
-def test_split_binomial_rejects_other_shapes():
-    with pytest.raises(UnsupportedFormError):
-        split_binomial(x**2 - y * z)
-    with pytest.raises(UnsupportedFormError):
-        split_binomial(x**2 + x * y - y**2)
-    with pytest.raises(UnsupportedFormError):
-        split_binomial(x**2 - y**3)
-
-
-def test_split_binomial_prime_field():
-    F = PrimeField(13, root_order=4)
-    S = base_ring(F)
-    X, Y = S.var("x"), S.var("y")
-    factors = split_binomial(X**4 - Y**4)
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    assert prod == X**4 - Y**4
+@pytest.mark.parametrize("m,n,field,f_texts,g_texts", [
+    (2, 2, Q, ["y - z", "z + y"], ["z - x", "z + x"]),
+    # zeta_6 = w with w^2 = w - 1, so zeta_3 = w - 1 and zeta_3^2 = -w
+    (2, 3, CyclotomicField(6), ["y - z", "z + y"], ["z - x", "z - (w - 1)*x", "z + w*x"]),
+    (2, 2, PrimeField(13, root_order=2), ["y - z", "z + y"], ["z - x", "z + x"]),
+], ids=["2x2-Q", "2x3-zeta6", "2x2-F13"])
+def test_grid_pencils_are_pinned(m, n, field, f_texts, g_texts):
+    S = base_ring(field)
+    X, Y, Z = S.var("x"), S.var("y"), S.var("z")
+    f_factors = [parse_polynomial(t, S) for t in f_texts]
+    g_factors = [parse_polynomial(t, S) for t in g_texts]
+    f = f_factors[0]
+    for fac in f_factors[1:]:
+        f = f * fac
+    g = g_factors[0]
+    for fac in g_factors[1:]:
+        g = g * fac
+    assert f == Y**m - Z**m and g == Z**n - X**n
+    ref = two_pencils(f_factors, g_factors, P(1, 0, 0, field=field), P(0, 1, 0, field=field))
+    cfg = grid_example(m, n, field)
+    assert cfg.witnesses.xi1.terms == ref.witnesses.xi1.terms
+    assert cfg.witnesses.xi2.terms == ref.witnesses.xi2.terms
+    assert [p.coords for p in cfg.points] == [p.coords for p in ref.points]
 
 
 def test_witness_pair_validation():
@@ -258,12 +237,3 @@ def test_witness_pair_validation():
     with pytest.raises(Exception):
         WitnessPair(x, 0, y, 1)
 
-
-def test_iroot_is_exact_on_huge_integers():
-    from symrees.configs import _iroot
-
-    assert _iroot(10**400, 2) == 10**200
-    assert _iroot(10**400 + 1, 2) is None
-    assert _iroot(-(7**300), 3) == -(7**100)
-    assert _iroot(-4, 2) is None
-    assert [_iroot(a, 2) for a in range(10)] == [0, 1, None, None, 2, None, None, None, None, 3]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -76,8 +77,8 @@ def test_rational_inverse_of_an_integer_is_an_int():
     Q = RationalField()
     assert type(Q.inv(1)) is int and type(Q.inv(-1)) is int
     assert type(Q.inv(Fraction(1, 3))) is int and Q.inv(Fraction(-1, 3)) == -3
-    # the grid's points and the coefficients of its witnesses, which
-    # split_binomial divides out, stay plain integers
+    # the grid's points and the coefficients of its witnesses, whose line
+    # through the base points is made monic by an inverse, stay plain integers
     cfg = grid_example(2, 2)
     w = cfg.witnesses
     assert all(type(c) is int for P in cfg.points for c in P.coords)
@@ -175,9 +176,10 @@ def _scalars(field):
     return st.integers(0, field.p - 1)
 
 
-@pytest.mark.parametrize("field", [RationalField(), CyclotomicField(3),
-                                   CyclotomicField(4), CyclotomicField(5), PrimeField(13)],
-                         ids=["Q", "zeta3", "zeta4", "zeta5", "F13"])
+@pytest.mark.parametrize("field", [RationalField(), CyclotomicField(3), CyclotomicField(4),
+                                   CyclotomicField(5), CyclotomicField(7), CyclotomicField(12),
+                                   PrimeField(13)],
+                         ids=["Q", "zeta3", "zeta4", "zeta5", "zeta7", "zeta12", "F13"])
 def test_field_axioms_on_random_triples(field):
     @given(_scalars(field), _scalars(field), _scalars(field))
     def inner(a, b, c):
@@ -191,6 +193,41 @@ def test_field_axioms_on_random_triples(field):
             assert mul(a, field.inv(a)) == field.one
 
     inner()
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_conjugates_rationalize_and_invert(n):
+    # (Z/12)^* = {1, 5, 7, 11} is not cyclic, so no single sigma_k generates it
+    F = CyclotomicField(n)
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    integral = st.tuples(*[st.integers(-9, 9)] * F.degree)
+
+    @given(integral, integral)
+    def inner(a, b):
+        for k in units:
+            assert F.conjugate(F.mul(a, b), k) == F.mul(F.conjugate(a, k), F.conjugate(b, k))
+        assert F.conjugate(a, 1) == a
+        if not any(a[1:]):
+            assert F.rationalizing_factor(a) is None
+            return
+        c = F.rationalizing_factor(a)
+        assert all(type(v) is int for v in c) and gcd(*c) == 1
+        prod = F.mul(a, c)
+        # a positive rational integer: the norm over the content, N(a) > 0 in a CM field
+        assert prod[0] > 0 and not any(prod[1:]) and type(prod[0]) is int
+        inv = F.inv(a)
+        assert F.mul(a, inv) == F.one
+        assert all(type(v) is int or v.denominator != 1 for v in inv)
+
+    inner()
+    # zeta^j is a unit, and 1 + zeta = (1 - zeta^2) / (1 - zeta) is one for odd n
+    zeta = F.generator()
+    for j in range(n):
+        inv = F.inv(F.pow(zeta, j))
+        assert inv == F.pow(zeta, n - j) and all(type(v) is int for v in inv)
+    if n % 2:
+        inv = F.inv(F.add(F.one, zeta))
+        assert F.mul(inv, F.add(F.one, zeta)) == F.one and all(type(v) is int for v in inv)
 
 
 def test_scalar_strings():

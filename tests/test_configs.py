@@ -15,6 +15,7 @@ from symrees.errors import (
     DegenerateParametersError,
     DuplicatePointsError,
     FactorThroughWrongPointError,
+    MissingRootsError,
     ProportionalFactorsError,
     SamePointError,
     UnsupportedNError,
@@ -229,6 +230,13 @@ def test_grid_pencils_are_pinned(m, n, field, f_texts, g_texts):
     assert cfg.witnesses.xi1.terms == ref.witnesses.xi1.terms
     assert cfg.witnesses.xi2.terms == ref.witnesses.xi2.terms
     assert [p.coords for p in cfg.points] == [p.coords for p in ref.points]
+
+
+def test_grid_needs_its_roots_of_unity():
+    with pytest.raises(MissingRootsError):
+        grid_example(2, 3, Q)                  # no primitive cube root of unity
+    with pytest.raises(MissingRootsError):
+        grid_example(2, 3, PrimeField(11))     # 3 does not divide 11 - 1
 
 
 def test_witness_pair_validation():

@@ -164,6 +164,8 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj) -> "FieldSpec":
+        if not isinstance(obj, dict):
+            raise InputError("a field must be a JSON object with a \"kind\"")
         kind = obj.get("kind")
         if kind == "rational":
             return FieldSpec("rational")

@@ -41,7 +41,9 @@ lcm degree >= c can add a lead.  No such pair is queued (c <= N when m^N is
 among the generators), and the run stops when the heap's least lcm degree is
 covered; the minimal leads are those of the full run.  ``standard_count``,
 the staircase count of standard monomials of one degree, decides coverage
-here and gives the colengths in ``verifier``.
+here, gives the colengths in ``verifier``, and gives the colength and the
+Hilbert multiplicity in ``ideals``; it is the package's one counter of
+standard monomials.
 """
 
 from __future__ import annotations

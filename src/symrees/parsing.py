@@ -136,7 +136,9 @@ class _Parser:
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse polynomial text over the given ring."""
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise PolynomialSyntaxError(f"polynomial text must be a string, not {text!r}", 0)
+    if not text.strip():
         raise PolynomialSyntaxError("empty polynomial text", 0)
     parser = _Parser(_tokenize(text), ring)
     out = parser.parse_expr()

@@ -232,9 +232,8 @@ def _first_truncation(target):
     """The first N' for an expected length ``target``: a colength of target
     in two variables needs d(d+1)/2 >= target, so one above the least such d."""
     n = 2
-    if target is not None:
-        while (n - 1) * n // 2 < target:
-            n += 1
+    while (n - 1) * n // 2 < target:
+        n += 1
     return n
 
 
@@ -271,8 +270,7 @@ def _meets_positive_dimension(J: Ideal) -> bool:
     return False
 
 
-def local_length_at_origin(J: Ideal, cap: int, target: int | None = None,
-                           first: int | None = None):
+def local_length_at_origin(J: Ideal, cap: int, first: int = 2):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
     Returns ``(length, stable_at)``.  One standard basis of J + m^N' under
@@ -299,7 +297,7 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None,
     (``groebner._completed_basis``).  Without a certificate, N' grows by a
     quarter up to ``cap``.  A run's cost still grows with N', since every
     term up to degree N' takes part in its reductions, so N' starts from
-    the target rather than high enough for any input.
+    ``first`` rather than high enough for any input.
 
     Only after the first run without a certificate does the INFINITE gate
     run.  The length is INFINITE exactly when a positive-dimensional
@@ -311,22 +309,19 @@ def local_length_at_origin(J: Ideal, cap: int, target: int | None = None,
     is not zero-dimensional.  An INFINITE J never has a certificate, so it
     pays one run at the first N'.
 
-    ``target`` (the expected length) only picks the first N': a colength of
-    ``target`` in two variables needs d(d+1)/2 >= target, so N' starts one
-    above the least such d.  ``first``, when given, is the first N' itself;
-    the confirmation seed of ``verify`` passes the ``stable_at`` the first
-    seed proved.  Neither affects the value: the standard-monomial counts
-    below N' do not depend on N', so every schedule finds the same least
-    degree d without one.  A first N' at or above d + 1 certifies in one
-    run and the gate never runs; one below it fails, the gate runs, and N'
-    grows by a quarter as from any other first run.
+    ``first`` is the first N'.  ``check_condition_by_length`` picks it from
+    the expected length (``_first_truncation``), and the confirmation seed of
+    ``verify`` passes the ``stable_at`` the first seed proved.  It does not
+    affect the value: the standard-monomial counts below N' do not depend on
+    N', so every schedule finds the same least degree d without one.  A
+    first N' at or above d + 1 certifies in one run and the gate never runs;
+    one below it fails, the gate runs, and N' grows by a quarter as from any
+    other first run.
     """
     ring = J.ring
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return INFINITE, None
-    if first is None:
-        first = _first_truncation(target)
     for run, found in enumerate(_certificate_runs(gens, ring, cap, first)):
         if found is not None:
             return found
@@ -341,14 +336,14 @@ def _finite_local_length(J: Ideal, cap: int, first: int):
                 if found is not None)
 
 
-def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int | None = None):
+def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int):
     """The local length L_p of J modulo a prime, with its ``stable_at``,
     when it is finite; None when it is not.
 
     The generators are made integral and reduced modulo the degree-one prime
     P of ``field.reduction_mod_prime``; ``local_length_at_origin`` then runs
-    unchanged over F_p, from ``first`` when it is given.  Its length L_p
-    bounds the char-0 length L from above, so L_p = rhs, with Huneke's
+    unchanged over F_p, from N' = ``first``.  Its length L_p bounds the
+    char-0 length L from above, so L_p = rhs, with Huneke's
     L >= rhs, proves L = rhs; the ``stable_at`` is then the degree of that
     F_p certificate.  A larger L_p (an unlucky prime, or L > rhs) still
     bounds L, so the caller's exact route needs no INFINITE gate and no N'
@@ -362,8 +357,7 @@ def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int | None = No
     fp_ring = PolyRing(fp, ring.variables)
     images = [Polynomial(fp_ring, dict(reduce(list(g.terms.items())))) for g in J.generators]
     try:
-        lp, stable_at = local_length_at_origin(Ideal(images, ring=fp_ring), cap, target=rhs,
-                                               first=first)
+        lp, stable_at = local_length_at_origin(Ideal(images, ring=fp_ring), cap, first)
     except CapExceededError:
         return None
     if lp == INFINITE:
@@ -498,11 +492,13 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
         J = Ideal([g for g in (xi1s, xi2s) if not g.is_zero()], ring=two_ring)
         if cap is None:
             cap = default_cap(rhs)
+        if first is None:
+            first = _first_truncation(rhs)
         found = None
         if field.characteristic == 0:
             found = _local_length_mod_prime(J, cap, rhs, first)
         if found is None:
-            lhs, stable_at = local_length_at_origin(J, cap, target=rhs, first=first)
+            lhs, stable_at = local_length_at_origin(J, cap, first)
         elif found[0] == rhs:
             lhs, stable_at = found
         else:

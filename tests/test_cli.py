@@ -226,6 +226,19 @@ def test_malformed_config_missing_keys(tmp_path):
     assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR
     cfgfile.write_text(json.dumps({"kind": "custom", "points": [["1", "0", "0"]]}))
     assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR
+    # a field that is not an object, and numbers where text is expected
+    custom = {"kind": "custom", "points": [["1", "0", "0"]],
+              "witnesses": {"xi1": "x", "r1": 1, "xi2": "y", "r2": 1}}
+    bad = [{**custom, "field": field} for field in (None, "rational", 7, [])]
+    bad += [{"kind": "grid", "m": 2, "n": 2, "field": None},
+            {"kind": "fermat", "n": 3, "field": "rational"},
+            {**custom, "points": [[1, 0, 0]]},
+            {**custom, "witnesses": {**custom["witnesses"], "xi1": 5}},
+            {"kind": "two-pencils", "A": ["1", "0", "0"], "B": ["0", "1", "0"],
+             "f_factors": [1, "y + z"], "g_factors": ["z - x", "z + x"]}]
+    for obj in bad:
+        cfgfile.write_text(json.dumps(obj))
+        assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR, obj
 
 
 def test_module_entry_point():

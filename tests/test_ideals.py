@@ -63,15 +63,44 @@ def test_vector_space_dimension():
     assert Ideal([R.one()]).vector_space_dimension() == 0
 
 
-def test_complete_intersection_colength_is_product_of_degrees():
-    # independent oracle for the pencil cut by a linear form: a regular
-    # sequence of degrees 1, m, n has colength m*n.  The form x + 2y + 4z
-    # cannot vanish at any root-of-unity grid point (|t^i + 2t^j| <= 3 < 4).
+def _random_form(ring, rnd, degree, lead):
+    """``lead`` plus up to three random terms, homogeneous of ``degree``."""
+    field = ring.field
+    terms = {lead: field.one}
+    for _ in range(rnd.randint(0, 3)):
+        i = rnd.randint(0, degree)
+        j = rnd.randint(0, degree - i)
+        terms.setdefault((i, j, degree - i - j), field.from_int(rnd.randint(-5, 5)))
+    return Polynomial.from_dict(ring, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, PrimeField(101)]))
+def test_complete_intersection_colength_is_product_of_degrees(rnd, field):
+    # an oracle that counts no standard monomials: for homogeneous f, g of
+    # degrees a, b, S/(f, g) of dimension 1 has multiplicity a*b (Bezout),
+    # and a linear u with (u, f, g) of dimension 0 leaves colength a*b.
+    # The three grids: the form x + 2y + 4z cannot vanish at any
+    # root-of-unity grid point (|t^i + 2t^j| <= 3 < 4).
     u = x + 2 * y + 4 * z
     for m, n in ((2, 2), (2, 3), (3, 3)):
         f = y**m - z**m
         g = z**n - x**n
         assert Ideal([u, f, g]).vector_space_dimension() == m * n
+    ring = PolyRing(field)
+    a, b = rnd.randint(1, 4), rnd.randint(1, 4)
+    f = _random_form(ring, rnd, a, (a, 0, 0))
+    g = _random_form(ring, rnd, b, (0, b, 0))
+    if f.is_zero() or g.is_zero():
+        return
+    I = Ideal([f, g], ring=ring)
+    if I.krull_dimension() != 1:
+        return
+    assert I.hilbert_multiplicity() == a * b
+    u = _random_form(ring, rnd, 1, (0, 0, 1))
+    J = Ideal([u, f, g], ring=ring)
+    if J.krull_dimension() == 0:
+        assert J.vector_space_dimension() == a * b
 
 
 def test_multiplicity_examples():

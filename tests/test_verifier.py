@@ -26,6 +26,7 @@ from symrees.verifier import (
     VERDICT_NOT_ESTABLISHED,
     VERDICT_VERIFIED,
     GenericLinearForm,
+    _first_truncation,
     _local_length_mod_prime,
     check_condition_by_length,
     check_homogeneous_condition,
@@ -227,7 +228,7 @@ def test_infinite_gate_runs_only_after_a_run_without_certificate(monkeypatch):
                         lambda *args, **kw: runs.append(kw["truncate_degree"]) or lead(*args, **kw))
     monkeypatch.setattr(Ideal, "krull_dimension", lambda self: gates.append(1) or krull(self))
     # certified by the first run (N' = 4, certificate at degree 3): no gate
-    assert local_length_at_origin(Ideal([a**2, b**2], ring=S2), cap=16, target=4) == (4, 4)
+    assert local_length_at_origin(Ideal([a**2, b**2], ring=S2), cap=16, first=4) == (4, 4)
     assert (runs, gates) == ([4], [])
     # an INFINITE J pays one run at the first N', then the gate decides
     runs.clear()
@@ -235,7 +236,7 @@ def test_infinite_gate_runs_only_after_a_run_without_certificate(monkeypatch):
     assert runs == [2] and gates == [1]
 
 
-def _length_or_cap(J, cap, first=None):
+def _length_or_cap(J, cap, first=2):
     try:
         return local_length_at_origin(J, cap, first=first)
     except CapExceededError:
@@ -390,7 +391,7 @@ def test_local_length_against_component_split_oracle():
         a, b = _eliminate_along(u, [w.xi1, w.xi2])
         J = Ideal([a, b], ring=a.ring)
         assert _local_length_by_component_split(J) == expected
-        val, _ = local_length_at_origin(J, cap=256, target=expected)
+        val, _ = local_length_at_origin(J, cap=256, first=_first_truncation(expected))
         assert val == expected
 
 
@@ -577,7 +578,8 @@ def _eliminated_witnesses(cfg, seed):
 def test_modular_local_length_matches_exact_route(make, seed):
     J, rhs = _eliminated_witnesses(make(), seed)
     cap = default_cap(rhs)
-    assert _local_length_mod_prime(J, cap, rhs) == local_length_at_origin(J, cap, target=rhs)
+    first = _first_truncation(rhs)
+    assert _local_length_mod_prime(J, cap, rhs, first) == local_length_at_origin(J, cap, first)
 
 
 @settings(max_examples=40)
@@ -594,7 +596,7 @@ def test_modular_local_length_accepts_only_the_exact_length(rnd, field):
     if exact == INFINITE:
         return
     # InvariantError here would mean a length mod p below the exact one
-    found = _local_length_mod_prime(J, 24, exact)
+    found = _local_length_mod_prime(J, 24, exact, _first_truncation(exact))
     if found is not None:
         assert found[0] == exact
 
@@ -620,7 +622,7 @@ def test_modular_step_declines_when_p_divides_a_coefficient(monkeypatch):
     T, c, d = _two_variable_ring(PrimeField(p))
     assert local_length_at_origin(Ideal([d**2, c**2 + d**3], ring=T), cap=16)[0] == 4
     # L_p = 4 > 3 proves nothing, but it bounds the exact run
-    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 3)[0] == 4
+    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 3, first=3)[0] == 4
     # the route falls back to the exact run: three points, rhs = 1 * 1 * 3
     pts = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
     rep = _route_with_pair(monkeypatch, pts, WitnessPair(x * y, 1, y * z, 1), f, g)
@@ -635,8 +637,8 @@ def test_modular_stable_at_is_the_degree_of_the_proving_certificate(monkeypatch)
     # over Q, y = -x^2/p locally: (x^2 + p*y, x^4), standard monomials 1..x^3,
     # whose Nakayama certificate is at degree 4; mod p it is (x^2, y^2), same
     # length, certified at degree 3
-    assert local_length_at_origin(Ideal([f, g], ring=S2), cap=16, target=4) == (4, 5)
-    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 4) == (4, 4)
+    assert local_length_at_origin(Ideal([f, g], ring=S2), cap=16, first=4) == (4, 5)
+    assert _local_length_mod_prime(Ideal([f, g], ring=S2), 16, 4, first=4) == (4, 4)
     # the report carries the certificate that proved the length: two points
     # with z^2 in I^(2) and z in I, rhs = 2 * 1 * 2
     pts = [P(1, 0, 0), P(0, 1, 0)]
@@ -651,8 +653,8 @@ def test_modular_step_declines_on_a_generator_in_the_prime():
     in_prime = F.sub(F.generator(), F.from_int(omega))
     # (zeta - omega)*x vanishes mod P, which leaves (y) and an infinite L_p
     J = Ideal([a * S2.constant(in_prime), b], ring=S2)
-    assert local_length_at_origin(J, cap=16, target=1)[0] == 1
-    assert _local_length_mod_prime(J, 16, 1) is None
+    assert local_length_at_origin(J, cap=16, first=2)[0] == 1
+    assert _local_length_mod_prime(J, 16, 1, first=2) is None
 
 
 def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
@@ -736,7 +738,7 @@ def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, sche
     split = events.index(("seed", 1))
     assert events[0] == ("seed", 0)
     first, confirmation = events[1:split], events[split + 1:]
-    # the first seed keeps the target's schedule and its gate; over Q(zeta_4)
+    # the first seed keeps the schedule picked from rhs and its gate; over Q(zeta_4)
     # these are the F_p runs of the modular step
     assert first == [("run", schedule[0]), "gate"] + [("run", n) for n in schedule[1:]]
     assert confirmation == [("run", report.lengths["stable_at"])]
@@ -763,7 +765,7 @@ def test_modular_length_below_rhs_is_a_bug():
     # the length of (x^2, y^2) is 4 in every characteristic; Huneke's bound
     # says the char-0 length is at least rhs, so 4 < 5 cannot happen
     with pytest.raises(InvariantError):
-        _local_length_mod_prime(Ideal([a**2, b**2], ring=S2), 16, 5)
+        _local_length_mod_prime(Ideal([a**2, b**2], ring=S2), 16, 5, first=4)
 
 
 def test_length_check_same_witness_twice_is_infinite():

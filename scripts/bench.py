@@ -18,17 +18,20 @@ out, taken by name from ``run_verifications.build_jobs``: K runs each, in
 this process, with the configuration built outside the timed region; it
 records the min and median seconds and each run's ``timings_ms``.  The
 ``kernel`` block times single calls into the Groebner engine, K each, in this
-process, with their inputs built outside the timed region: one DS truncated
-run (``lead_monomial_basis`` on fermat-5 over F_31 with the seed-0 linear
-form at N' = KERNEL_TRUNCATION, the largest run of that verify), one
-``points_ideal`` of the same configuration (many small bases, where set-up
-cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
+process, with their inputs built outside the timed region: two DS truncated
+runs (``lead_monomial_basis`` on fermat-5 over F_31 with the seed-0 linear
+form), one at N' = KERNEL_TRUNCATION (the largest run of that verify while
+its first N' was 38, kept for the trajectory) and one at N' =
+KERNEL_FIRST_TRUNCATION (the first seed's one run now that its first N' is
+76); one ``points_ideal`` of the same configuration (many small bases,
+where set-up cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
 Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
 ``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
 linear form (the substitution that starts every length route), and one
 INFINITE gate (``_meets_positive_dimension`` on a fresh ideal of the seed-0
-eliminated witnesses of fermat-5 over F_31, the test the first seed pays
-after its first run without a certificate).  It also times the scalar layer:
+eliminated witnesses of fermat-5 over F_31, the test that follows a first
+run without a certificate; no built-in configuration pays it since the first
+N' doubled).  It also times the scalar layer:
 ``rationalizing_factor`` over Q(zeta_5) on FACTOR_ELEMENTS integral elements
 with FACTOR_BITS-bit coordinates drawn at seed SEED.  The file
 goes to the root of the checkout, with the Python version, ``nproc``, the
@@ -52,6 +55,7 @@ K = 5
 PERFBENCH_RUNS = 3
 VERIFY_JOBS = ("fermat-5", "grid-2x3")
 KERNEL_TRUNCATION = 58
+KERNEL_FIRST_TRUNCATION = 76
 FACTOR_ELEMENTS = 500
 FACTOR_BITS = 32
 
@@ -124,6 +128,7 @@ def kernel_calls(jobs):
     w = cfg.witnesses
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
     gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
+    first_gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_FIRST_TRUNCATION)
     f3 = fermat(3)
     f4 = jobs["fermat-4"]()
     u4 = pick_generic_linear_form(f4.points, seed=0)
@@ -136,6 +141,8 @@ def kernel_calls(jobs):
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
             gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
+        "ds_first_run_fermat-5-f31": lambda: lead_monomial_basis(
+            first_gens, order=DS, truncate_degree=KERNEL_FIRST_TRUNCATION),
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
         "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),

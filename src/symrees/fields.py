@@ -183,6 +183,7 @@ class Field:
     zero = 0
     one = 1
     characteristic = 0
+    galois_exponents = (1,)   # the k of the automorphisms zeta -> zeta^k; Q(zeta_n) has more
 
     def add(self, a, b):
         raise NotImplementedError
@@ -387,7 +388,7 @@ class CyclotomicField(Field):
             k: [powers[k * i % n] for i in range(d)]
             for k in range(1, max(n, 2)) if gcd(k, n) == 1
         }
-        self._others = [k for k in self._images if k != 1]
+        self.galois_exponents = tuple(self._images)   # ascending, k = 1 first
 
     @staticmethod
     def _make_mul2(r0, r1):
@@ -440,7 +441,7 @@ class CyclotomicField(Field):
 
     def _cofactor(self, a):
         """prod_{k != 1} sigma_k(a): a times it is the norm N(a)."""
-        conjugates = [self.conjugate(a, k) for k in self._others]
+        conjugates = [self.conjugate(a, k) for k in self.galois_exponents[1:]]
         return functools.reduce(self.mul, conjugates) if conjugates else self.one
 
     def inv(self, a):

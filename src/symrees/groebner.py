@@ -28,6 +28,16 @@ the remainder right up to a nonzero scalar and keeps char-0 coefficients
 integral.  ``normal_form`` makes its divisors monic first, so there it never
 scales and returns the exact remainder.
 
+Under a global order the remainder is fully reduced.  Under a local order it
+is a weak normal form: the loop stops at the first term no lead divides and
+keeps the rest of the work list as it stands.  The standard-basis algorithm
+needs no more (Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.6): an element joins the basis for its lead alone, and the
+truncated runs read only leads.  Under a truncation the tails reach degree
+N', so reducing them was most of a run's cost.  Global orders keep full
+reduction: interreduction needs it, and a lead-only remainder in their
+S-pair loop made the symbolic-power eliminations slower, not faster.
+
 ``truncate_degree=N`` silently drops every term of total degree > N.  That is
 only sound when the generators include all monomials of degree exactly N (the
 drop is then an exact division step against one of them), which is how the
@@ -113,7 +123,7 @@ class _Packing:
     compare that drops or rejects it reads its true degree.
     """
 
-    __slots__ = ("nvars", "cap", "zero", "units", "guard", "deg_mask", "top")
+    __slots__ = ("nvars", "cap", "local", "zero", "units", "guard", "deg_mask", "top")
 
     def __init__(self, order, nvars, cap=None):
         if cap is not None and cap > MAX_DEGREE:
@@ -125,6 +135,7 @@ class _Packing:
         places = [low + (w + 1) * (len(rows) - 1 - r) for r in range(len(rows))]
         self.nvars = nvars
         self.cap = cap
+        self.local = order.is_local
         self.zero = sum(1 << (p + w) for p in places)
         self.units = tuple(
             (1 << (i * w)) + (1 << (nvars * w)) + sum(row[i] << p for row, p in zip(rows, places))
@@ -220,6 +231,12 @@ def _reduce(terms, reducers, field, pk):
     The result is then the normal form up to a nonzero scalar, which is all
     S-polynomial reduction and interreduction need.  Against monic reducers
     nothing is scaled and the result is the exact remainder.
+
+    Under a local order (``pk.local``) the loop stops at the first term no
+    reducer lead divides and returns it with the unreduced rest of the work
+    list: a weak normal form.  Its lead monomial is that of the full
+    remainder, since full reduction never changes a term once it has
+    passed into the remainder, other than by a scalar.
     """
     rem = []
     work = terms
@@ -228,13 +245,15 @@ def _reduce(terms, reducers, field, pk):
     mul, neg = field.mul, field.neg
     char0 = field.characteristic == 0
     scalings = 0
-    guard = pk.guard
+    guard, local = pk.guard, pk.local
     while start < len(work):
         m, c = work[start]
         for red in reducers:
             if not (m - red[0]) & guard:
                 break
         else:
+            if local:
+                return work[start:]  # rem is empty: a weak normal form
             rem.append(work[start])
             start += 1
             continue

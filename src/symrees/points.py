@@ -15,7 +15,9 @@ I_P^r = I_P^(r) exactly when every term of xi, rewritten in (V, W, c), has
 vanish.  The binomial expansion is exact in every characteristic (Zariski-
 Nagata; Dao, De Stefani, Grifo, Huneke and Nunez-Betancourt, Symbolic powers
 of ideals, 2018).  The three charts are (a : b : 1), (a : 1 : 0) and
-(1 : 0 : 0); a zero coordinate needs no shift.
+(1 : 0 : 0); a zero coordinate needs no shift.  Over Q(zeta_n) a witness
+that the automorphisms zeta -> zeta^k fix is tested at one point of each
+Galois orbit of H.
 
 ``PointPowerCache`` keeps the Groebner route, reduced bases of I_P^r, as the
 reference the tests compare against.  The global intersection is only formed
@@ -179,13 +181,29 @@ def _in_point_power(terms, field, point, r):
 
 
 def symbolic_power_membership(xi, H: PointSet, r: int) -> bool:
-    """True iff xi lies in the r-th power of every point ideal of H."""
+    """True iff xi lies in the r-th power of every point ideal of H.
+
+    One point per Galois orbit is tested.  When sigma_k fixes xi it maps
+    I_P^r onto I_{sigma_k P}^r, so xi lies in one exactly when it lies in
+    the other: a tested point decides its conjugates sigma_k P too.  Over
+    Q and F_p, and for an xi no sigma_k != 1 fixes, every point is tested.
+    """
     if r < 1:
         raise InputError("symbolic power exponent must be >= 1")
     if xi.is_zero():
         return True
     field = xi.ring.field
-    return all(_in_point_power(xi.terms, field, P, r) for P in H)
+    fixing = [k for k in field.galois_exponents[1:]
+              if all(field.conjugate(c, k) == c for c in xi.terms.values())]
+    decided = set()
+    for P in H:
+        if P.coords in decided:
+            continue
+        if not _in_point_power(xi.terms, field, P, r):
+            return False
+        # sigma_k keeps 0 and 1, so it keeps the normalized coordinates normalized
+        decided.update(tuple(field.conjugate(a, k) for a in P.coords) for k in fixing)
+    return True
 
 
 def symbolic_power_ideal(H: PointSet, r: int, ring: PolyRing, budget: int = 64) -> Ideal:

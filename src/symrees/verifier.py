@@ -229,12 +229,16 @@ def _local_standard_counts(gens, ring, n):
 
 
 def _first_truncation(target):
-    """The first N' for an expected length ``target``: a colength of target
-    in two variables needs d(d+1)/2 >= target, so one above the least such d."""
+    """The first N' for an expected length ``target``: twice the least n with
+    (n-1)n/2 >= target, the least N' whose colength can reach target in two
+    variables.  A DS run past its certificate degree costs little (its
+    reductions stop at each remainder's lead), so the first N' overshoots:
+    every built-in configuration certifies in that one run, and its INFINITE
+    gate never runs."""
     n = 2
     while (n - 1) * n // 2 < target:
         n += 1
-    return n
+    return 2 * n
 
 
 def _certificate_runs(gens, ring, cap, first):
@@ -295,9 +299,12 @@ def local_length_at_origin(J: Ideal, cap: int, first: int = 2):
     run itself stops there: once the leads cover degree d no S-pair of lcm
     degree >= d can add a lead, so none is reduced
     (``groebner._completed_basis``).  Without a certificate, N' grows by a
-    quarter up to ``cap``.  A run's cost still grows with N', since every
-    term up to degree N' takes part in its reductions, so N' starts from
-    ``first`` rather than high enough for any input.
+    quarter up to ``cap``.  Each reduction stops at the first term no lead
+    divides (a weak normal form), so the tails up to degree N' are carried,
+    not reduced, and a run past the certificate degree costs little more
+    than one at it.  A run's cost still grows with N', though: the
+    S-polynomials and the carried tails reach degree N'.  So N' starts from
+    ``first``, not from the cap.
 
     Only after the first run without a certificate does the INFINITE gate
     run.  The length is INFINITE exactly when a positive-dimensional

@@ -236,6 +236,12 @@ def test_malformed_config_missing_keys(tmp_path):
             {**custom, "witnesses": {**custom["witnesses"], "xi1": 5}},
             {"kind": "two-pencils", "A": ["1", "0", "0"], "B": ["0", "1", "0"],
              "f_factors": [1, "y + z"], "g_factors": ["z - x", "z + x"]}]
+    # integer fields take JSON integers only: no float, boolean, string or null
+    bad += [{"kind": "fermat", "n": n} for n in (3.7, 3.0, True, "3", None)]
+    bad += [{"kind": "grid", "m": m, "n": 2} for m in (2.5, False)]
+    bad += [{"kind": "grid", "m": 2, "n": "2"}]
+    bad += [{**custom, "witnesses": {**custom["witnesses"], key: v}}
+            for key in ("r1", "r2") for v in (1.9, 1.0, True, "1")]
     for obj in bad:
         cfgfile.write_text(json.dumps(obj))
         assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR, obj

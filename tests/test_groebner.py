@@ -301,6 +301,56 @@ def test_truncated_run_ends_at_its_first_covered_degree(monkeypatch):
     assert max(lowest[reduced_with_cut:]) >= 36
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]))
+def test_local_reduction_stops_at_the_lead_of_the_full_remainder(rnd, field):
+    ring = PolyRing(field, ("x", "y"))
+    polys = _random_polys(ring, rnd, count=4, max_terms=4, constant=False)
+    if len(polys) < 2:
+        return
+    f, gens = polys[0], polys[1:]
+
+    def reduce(order, cap, full):
+        pk = _Packing(order, 2, cap)
+        pk.local = pk.local and not full   # full reduction under the same order
+        reducers = []
+        for g in gens:
+            items = groebner._prepare(g, pk)
+            if items:
+                items = groebner._normalize_element(items, field)
+                reducers.append((items[0][0], items[0][1], items))
+        rem = groebner._reduce(groebner._prepare(f, pk), reducers, field, pk)
+        irreducible = [all((m - lm) & pk.guard for lm, _, _ in reducers) for m, _ in rem]
+        return [pk.unpack(m) for m, _ in rem], irreducible
+
+    cap = rnd.randint(3, 9)
+    weak, weak_irreducible = reduce(DS, cap, full=False)
+    full, full_irreducible = reduce(DS, cap, full=True)
+    assert all(full_irreducible)
+    # under DS the remainder's first monomial is irreducible and is the lead
+    # of the full remainder; the rest is carried as it stood
+    assert bool(weak) == bool(full)
+    if weak:
+        assert weak_irreducible[0] and weak[0] == full[0]
+    # under grevlex the remainder is the full one: every term irreducible
+    assert all(reduce(GREVLEX, None, full=False)[1])
+
+
+def test_local_reduction_leaves_the_tail_unreduced():
+    S = PolyRing(PrimeField(7), ("x", "y"))
+    a, b = S.var("x"), S.var("y")
+    pk = _Packing(DS, 2, 6)
+    reducers = [(items[0][0], items[0][1], items)
+                for items in (groebner._prepare(g, pk) for g in (a, b**2))]
+    # the lead y is irreducible, so y^2 + x^3 is carried as it stands; full
+    # reduction kills both against y^2 and x
+    rem = groebner._reduce(groebner._prepare(b + b**2 + a**3, pk), reducers, S.field, pk)
+    assert [pk.unpack(m) for m, _ in rem] == [(0, 1), (0, 2), (3, 0)]
+    pk.local = False
+    rem = groebner._reduce(groebner._prepare(b + b**2 + a**3, pk), reducers, S.field, pk)
+    assert [pk.unpack(m) for m, _ in rem] == [(0, 1)]
+
+
 # --- packed monomials ------------------------------------------------------------------
 
 @st.composite

@@ -269,3 +269,93 @@ def test_membership_matches_groebner_oracle(rnd, field, r, kind):
     assert symbolic_power_membership(xi, H, r) == expected
     if kind == "member":
         assert expected
+
+
+
+# --- one point per Galois orbit against the per-point route ------------------------
+
+
+def _conjugate_point(pt, k):
+    field = pt.field
+    return ProjectivePoint(field, [field.conjugate(a, k) for a in pt.coords])
+
+
+def _conjugate_poly(f, k):
+    field = f.ring.field
+    return Polynomial(f.ring, {m: field.conjugate(c, k) for m, c in f.terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([CyclotomicField(3), CyclotomicField(5), CyclotomicField(12)]),
+       st.integers(1, 3), st.sampled_from(["member", "boundary", "random", "base-only"]),
+       st.booleans())
+def test_membership_by_galois_orbit_matches_per_point_route(rnd, field, r, kind, twist):
+    import symrees.points as points
+
+    ring = base_ring(field)
+    X, Y, Z = ring.var("x"), ring.var("y"), ring.var("z")
+    ks = field.galois_exponents
+
+    def scalar():
+        return tuple(rnd.randint(-2, 2) for _ in range(field.degree))
+
+    # H is a union of whole Galois orbits, in shuffled order
+    bases, orbits = [], []
+    for _ in range(rnd.randint(1, 2)):
+        a, b = scalar(), scalar()
+        pt = ProjectivePoint(field, rnd.choice([[a, b, field.one], [a, field.one, field.zero]]))
+        orbit = frozenset(_conjugate_point(pt, k) for k in ks)
+        if orbit not in orbits:
+            bases.append(pt)
+            orbits.append(orbit)
+    pts = sorted(set().union(*orbits), key=str)
+    rnd.shuffle(pts)
+    H = PointSet(pts)
+
+    # "member" multiplies a rational xi by r norms of a line through each base
+    # point, which vanish to order r on its whole orbit; "base-only" by r
+    # copies of the line itself, which vanishes at the base point alone
+    xi = X ** rnd.randint(0, 2) + Y.scale(field.from_int(rnd.randint(1, 3))) * Z
+    for pt in bases:
+        line = _through(pt, ring, rnd)
+        if line.is_zero():
+            line = defining_ideal(pt, ring).generators[0]
+        norm = ring.one()
+        for k in ks:
+            norm = norm * _conjugate_poly(line, k)
+        assert all(not any(c[1:]) for c in norm.terms.values())
+        factor = line if kind == "base-only" else norm
+        for _ in range({"member": r, "boundary": r - 1, "random": 0, "base-only": r}[kind]):
+            xi = xi * factor
+    if twist:
+        xi = xi * (X + Y.scale(field.generator()))
+    fixed = [k for k in ks[1:] if _conjugate_poly(xi, k) == xi]
+    if kind != "base-only" and not twist:
+        assert fixed == list(ks[1:])   # xi is rational
+
+    in_power = points._in_point_power
+    per_point = all(in_power(xi.terms, field, pt, r) for pt in H)
+    tested = []
+
+    def recorded(terms, fld, pt, rr):
+        tested.append(pt)
+        return in_power(terms, fld, pt, rr)
+
+    points._in_point_power = recorded
+    try:
+        assert symbolic_power_membership(xi, H, r) == per_point
+    finally:
+        points._in_point_power = in_power
+    if kind == "member":
+        assert per_point
+    if fixed == list(ks[1:]):
+        # one tested point decides its whole orbit
+        assert len({o for o in orbits for pt in tested if pt in o}) == len(tested)
+        if per_point:
+            assert len(tested) == len(orbits)
+    elif not fixed:
+        # no automorphism fixes xi: every point is tested, in order
+        assert tested == list(H)[:len(tested)]
+        if per_point:
+            assert len(tested) == len(H)

@@ -725,12 +725,12 @@ def _traced_runs_and_gates(monkeypatch):
     return events
 
 
-@pytest.mark.parametrize("make, schedule", [
-    (lambda: fermat(4, field=PrimeField(13, root_order=4)), [26, 32, 40]),
-    (lambda: fermat(5, field=PrimeField(31, root_order=5)), [38, 47, 58]),
-    (lambda: fermat(4), [26, 32, 40]),
+@pytest.mark.parametrize("make, first_n", [
+    (lambda: fermat(4, field=PrimeField(13, root_order=4)), 52),
+    (lambda: fermat(5, field=PrimeField(31, root_order=5)), 76),
+    (lambda: fermat(4), 52),
 ], ids=["fermat-4-f13", "fermat-5-f31", "fermat-4"])
-def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, schedule):
+def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, first_n):
     cfg = make()
     events = _traced_runs_and_gates(monkeypatch)
     report = verify(cfg, seed=0)
@@ -738,9 +738,11 @@ def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, sche
     split = events.index(("seed", 1))
     assert events[0] == ("seed", 0)
     first, confirmation = events[1:split], events[split + 1:]
-    # the first seed keeps the schedule picked from rhs and its gate; over Q(zeta_4)
-    # these are the F_p runs of the modular step
-    assert first == [("run", schedule[0]), "gate"] + [("run", n) for n in schedule[1:]]
+    # the first seed is one run at the N' picked from rhs, past its certificate
+    # degree, so it pays no gate; over Q(zeta_4) this is the F_p run of the
+    # modular step
+    assert first_n == _first_truncation(report.lengths["rhs"]) > report.lengths["stable_at"]
+    assert first == [("run", first_n)]
     assert confirmation == [("run", report.lengths["stable_at"])]
 
 

@@ -31,7 +31,9 @@ linear form (the substitution that starts every length route), and one
 INFINITE gate (``_meets_positive_dimension`` on a fresh ideal of the seed-0
 eliminated witnesses of fermat-5 over F_31, the test that follows a first
 run without a certificate; no built-in configuration pays it since the first
-N' doubled).  It also times the scalar layer:
+N' doubled), and both memberships (xi1 in I_H^(r1), xi2 in I_H^(r2)) of
+fermat-5 over F_31 and of fermat-10 over F_41, the latter taken by name from
+``run_verifications.scale_jobs``.  It also times the scalar layer:
 ``rationalizing_factor`` over Q(zeta_5) on FACTOR_ELEMENTS integral elements
 with FACTOR_BITS-bit coordinates drawn at seed SEED.  The file
 goes to the root of the checkout, with the Python version, ``nproc``, the
@@ -113,7 +115,7 @@ def kernel_calls(jobs):
     from symrees.configs import fermat
     from symrees.fields import CyclotomicField
     from symrees.groebner import lead_monomial_basis
-    from symrees.points import points_ideal, symbolic_power_ideal
+    from symrees.points import points_ideal, symbolic_power_ideal, symbolic_power_membership
     from symrees.polynomials import DS
     from symrees.ideals import Ideal
     from symrees.verifier import (
@@ -130,6 +132,7 @@ def kernel_calls(jobs):
     gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
     first_gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_FIRST_TRUNCATION)
     f3 = fermat(3)
+    f10 = jobs["fermat-10-f41"]()
     f4 = jobs["fermat-4"]()
     u4 = pick_generic_linear_form(f4.points, seed=0)
     w4 = f4.witnesses
@@ -138,6 +141,11 @@ def kernel_calls(jobs):
     bound = 1 << FACTOR_BITS
     elements = [tuple(rng.randint(-bound, bound) for _ in range(q5.degree))
                 for _ in range(FACTOR_ELEMENTS)]
+
+    def memberships(c):
+        pairs = ((c.witnesses.xi1, c.witnesses.r1), (c.witnesses.xi2, c.witnesses.r2))
+        return lambda: [symbolic_power_membership(xi, c.points, r) for xi, r in pairs]
+
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
             gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
@@ -150,6 +158,8 @@ def kernel_calls(jobs):
         "infinite_gate_fermat-5-f31": lambda: _meets_positive_dimension(
             Ideal([xi1, xi2], ring=xi1.ring)),
         "rationalizing_factor_q-zeta5": lambda: [q5.rationalizing_factor(a) for a in elements],
+        "memberships_fermat-5-f31": memberships(cfg),
+        "memberships_fermat-10-f41": memberships(f10),
     }
 
 
@@ -170,7 +180,7 @@ def main():
     seconds = benchmark["run_seconds"]
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
-    from run_verifications import build_jobs
+    from run_verifications import build_jobs, scale_jobs
 
     out = {
         "meta": {"python": platform.python_version(), "nproc": os.cpu_count(),
@@ -188,7 +198,7 @@ def main():
                 print(f"perfbench {key} {round_}/{PERFBENCH_RUNS} ...", flush=True)
                 runs.setdefault(key, []).append(perfbench(workload, SEED, seconds, trace))
     out["perfbench"] = {key: median_result(results) for key, results in runs.items()}
-    jobs = dict(build_jobs(False))
+    jobs = dict(build_jobs(False) + scale_jobs())
     for name in VERIFY_JOBS:
         print(f"verify {name} x{K} ...", flush=True)
         out["verify"][name] = time_verify(jobs[name], K)

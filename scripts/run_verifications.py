@@ -2,11 +2,16 @@
 """Run the built-in configurations end to end and write their reports.
 
 Usage:
-    python scripts/run_verifications.py [--out-dir reports] [--fast] [--seed N]
-                                        [--compare DIR]
+    python scripts/run_verifications.py [--out-dir reports] [--fast | --scale]
+                                        [--seed N] [--compare DIR]
 
 ``--fast`` keeps only the prime-field runs and the small char-0 ones; the full
 list adds fermat-4, fermat-5 and grid-2x3 in characteristic zero.
+``--scale`` runs the larger configurations of the scale sweep in ROADMAP.md
+that verify, in place of the built-ins: grids to 5x5 and the Fermat
+configurations to n = 11 (a name without ``-fP`` is over Q(zeta_k); over
+F_67 the 32 draws of the linear form all meet the points, and the line
+enumeration finds one).
 ``--compare DIR`` diffs each report against ``DIR/<name>.json`` (a previous
 ``--out-dir``), ignoring ``timings_ms``, prints the keys that differ and exits
 1 on any difference.
@@ -48,6 +53,22 @@ def build_jobs(fast: bool):
     return jobs
 
 
+def scale_jobs():
+    return [
+        ("grid-3x3", lambda: grid_example(3, 3)),
+        ("grid-2x5", lambda: grid_example(2, 5)),
+        ("grid-3x4", lambda: grid_example(3, 4)),
+        ("grid-3x5", lambda: grid_example(3, 5)),
+        ("grid-5x5", lambda: grid_example(5, 5)),
+        ("fermat-6", lambda: fermat(6)),
+        ("fermat-7", lambda: fermat(7)),
+        ("fermat-8", lambda: fermat(8)),
+        ("fermat-10-f41", lambda: fermat(10, field=PrimeField(41, root_order=10))),
+        ("fermat-11-f199", lambda: fermat(11, field=PrimeField(199, root_order=11))),
+        ("fermat-11-f67", lambda: fermat(11, field=PrimeField(67, root_order=11))),
+    ]
+
+
 def differing_keys(new, old, prefix=""):
     """Dotted paths at which two report dicts differ, ``timings_ms`` aside."""
     if not (isinstance(new, dict) and isinstance(old, dict)):
@@ -63,7 +84,9 @@ def differing_keys(new, old, prefix=""):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reports")
-    ap.add_argument("--fast", action="store_true")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--fast", action="store_true")
+    mode.add_argument("--scale", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--compare", metavar="DIR")
     args = ap.parse_args()
@@ -72,7 +95,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     differences = 0
-    for name, make in build_jobs(args.fast):
+    for name, make in scale_jobs() if args.scale else build_jobs(args.fast):
         t0 = time.monotonic()
         report = verify(make(), seed=args.seed)
         elapsed = round(time.monotonic() - t0, 2)

@@ -23,7 +23,7 @@ from .configs import (
     two_pencils,
 )
 from .errors import InputError, ResourceLimitError
-from .fields import CyclotomicField, Field, FieldSpec, PrimeField, RationalField, make_field
+from .fields import CyclotomicField, Field, FieldSpec, PrimeField, RationalField, json_int, make_field
 from .ideals import INFINITE
 from .parsing import parse_polynomial, parse_scalar
 from .points import PointSet, ProjectivePoint, base_ring, symbolic_power_ideal, symbolic_power_membership
@@ -106,7 +106,7 @@ def load_configuration(obj, char: int = 0) -> Configuration:
 def _build_configuration(obj, char: int) -> Configuration:
     kind = obj.get("kind")
     if kind == "fermat":
-        n = _json_int(obj, "n")
+        n = json_int(obj, "n")
         field = PrimeField(char, root_order=n) if char else (
             make_field(FieldSpec.from_json(obj["field"])) if "field" in obj else None
         )
@@ -116,7 +116,7 @@ def _build_configuration(obj, char: int) -> Configuration:
             alpha = parse_scalar(str(obj["alpha"]), probe)
         return fermat(n, alpha=alpha, field=field)
     if kind == "grid":
-        m, n = _json_int(obj, "m"), _json_int(obj, "n")
+        m, n = json_int(obj, "m"), json_int(obj, "n")
         field = None
         if char:
             field = PrimeField(char, root_order=lcm(m, n))
@@ -144,20 +144,12 @@ def _build_configuration(obj, char: int) -> Configuration:
                        obj.get("label", "custom"))
         w = obj["witnesses"]
         witnesses = WitnessPair(
-            parse_polynomial(w["xi1"], ring), _json_int(w, "r1"),
-            parse_polynomial(w["xi2"], ring), _json_int(w, "r2"),
+            parse_polynomial(w["xi1"], ring), json_int(w, "r1"),
+            parse_polynomial(w["xi2"], ring), json_int(w, "r2"),
         )
         cfg = Configuration(obj.get("label", "custom"), field, pts, witnesses, obj)
         return cfg
     raise InputError(f"unknown configuration kind {kind!r}")
-
-
-def _json_int(obj, key):
-    """The JSON integer at obj[key]: a float, a string or a boolean is bad input."""
-    value = obj[key]
-    if type(value) is not int:
-        raise InputError(f"{key!r} must be a JSON integer, not {value!r}")
-    return value
 
 
 def _json_field(obj, char: int) -> Field:

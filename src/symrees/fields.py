@@ -144,6 +144,14 @@ def degree_one_prime(n: int):
         a += 1
 
 
+def json_int(obj, key):
+    """The JSON integer at obj[key]: a float, a string or a boolean is bad input."""
+    value = obj[key]
+    if type(value) is not int:
+        raise InputError(f"{key!r} must be a JSON integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Serializable description of a coefficient field."""
@@ -170,9 +178,9 @@ class FieldSpec:
         if kind == "rational":
             return FieldSpec("rational")
         if kind == "cyclotomic":
-            return FieldSpec("cyclotomic", n=int(obj["n"]))
+            return FieldSpec("cyclotomic", n=json_int(obj, "n"))
         if kind == "prime":
-            return FieldSpec("prime", p=int(obj["p"]), n=int(obj["n"]) if "n" in obj else None)
+            return FieldSpec("prime", p=json_int(obj, "p"), n=json_int(obj, "n") if "n" in obj else None)
         raise InputError(f"unknown field kind {kind!r}")
 
 

@@ -7,17 +7,17 @@ matrix and always reduces to two independent linear forms.
 
 Symbolic power membership is checked point by point by order of vanishing,
 with no Groebner basis.  Let c be the coordinate of P normalized to 1 and
-v, w the other two, with coordinates a_v, a_w.  The linear change
-V = v - a_v*c, W = w - a_w*c sends P to the origin of its chart, where
-I_P = (V, W) and I_P^r = (V, W)^r is a monomial ideal.  So xi lies in
-I_P^r = I_P^(r) exactly when every term of xi, rewritten in (V, W, c), has
-(V, W)-degree at least r: its Taylor (Hasse) coefficients of order < r at P
-vanish.  The binomial expansion is exact in every characteristic (Zariski-
-Nagata; Dao, De Stefani, Grifo, Huneke and Nunez-Betancourt, Symbolic powers
-of ideals, 2018).  The three charts are (a : b : 1), (a : 1 : 0) and
-(1 : 0 : 0); a zero coordinate needs no shift.  Over Q(zeta_n) a witness
-that the automorphisms zeta -> zeta^k fix is tested at one point of each
-Galois orbit of H.
+a = P[v], b = P[w] the other two.  xi lies in I_P^r = I_P^(r) exactly when,
+in each degree component of xi, the Hasse derivatives
+D^(s,t) = sum C(i, s) C(j, t) a^(i-s) b^(j-t) coef(v^i w^j) with s + t < r
+vanish; binomials taken in the field keep this exact in every
+characteristic (Zariski-Nagata; Dao, De Stefani, Grifo, Huneke and
+Nunez-Betancourt, Symbolic powers of ideals, 2018).  A first pass sums over
+i once per chart and value of a, a second over j once per point; a zero
+coordinate multiplies nothing.  Over Q(zeta_n) a witness that the
+automorphisms zeta -> zeta^k fix is tested at one point of each Galois
+orbit of H.  The tests check this against the per-point coordinate shift
+in ``tests/helpers.py``.
 
 ``PointPowerCache`` keeps the Groebner route, reduced bases of I_P^r, as the
 reference the tests compare against.  The global intersection is only formed
@@ -135,49 +135,70 @@ class PointPowerCache:
         return gb
 
 
-def _shift_weights(field, a, top, r):
-    """weights[i][s] = C(i, s) * a^(i - s), the coefficient of V^s c^(i-s) in
-    (V + a*c)^i, for i < ``top`` and s < r."""
+def _taylor_weights(field, a, top, r):
+    """weights[i][s] = C(i, s) * a^(i - s), the s-th Hasse derivative of Y^i
+    at a, for i <= ``top`` and s < r: one power table of a, binomials taken
+    in the field."""
     powers = [field.one]
     for _ in range(top):
         powers.append(field.mul(powers[-1], a))
-    return [[field.mul(field.from_int(comb(i, s)), powers[i - s]) for s in range(min(i + 1, r))]
-            for i in range(top)]
+    return [[powers[i]] + [field.mul(field.from_int(comb(i, s)), powers[i - s])
+                           for s in range(1, min(i + 1, r))]
+            for i in range(top + 1)]
 
 
-def _in_point_power(terms, field, point, r):
-    """True iff the polynomial with ``terms`` lies in I_P^r: its Taylor
-    coefficients of order < r at P all vanish."""
-    coords = point.coords
-    c = max(i for i in range(3) if not field.is_zero(coords[i]))
-    top = 1 + max(sum(m) for m in terms)
-    done = []                               # local variables already shifted
-    for v in (v for v in range(3) if v != c):
-        if field.is_zero(coords[v]):
-            # V = v needs no shift: only the terms still below order r stay
-            terms = {m: coeff for m, coeff in terms.items()
-                     if m[v] <= r - 1 - sum(m[u] for u in done)}
-            done.append(v)
-            continue
-        weights = _shift_weights(field, coords[v], top, r)
-        shifted = {}
+def _first_pass(terms, field, v, w, a, weights, r):
+    """rows[s][(d, j)] = sum over i of C(i, s) * a^(i - s) * coef(v^i w^j) in
+    the degree-d component: the s-th Hasse derivative along v at v = a,
+    with w still free.  A zero a keeps only i = s, and multiplies nothing."""
+    rows = [{} for _ in range(r)]
+    if field.is_zero(a):
         for m, coeff in terms.items():
-            i = m[v]
-            room = r - 1 - sum(m[u] for u in done)   # highest V-degree still below order r
-            for s in range(min(i, room) + 1):
-                w = weights[i][s]
-                if field.is_zero(w):
-                    continue                # C(i, s) = 0 mod p
-                e = list(m)
-                e[v] = s
-                e[c] += i - s
-                e = tuple(e)
-                term = field.mul(coeff, w)
-                prev = shifted.get(e)
-                shifted[e] = term if prev is None else field.add(prev, term)
-        terms = shifted
-        done.append(v)
-    return all(field.is_zero(coeff) for coeff in terms.values())
+            if m[v] < r:
+                rows[m[v]][(sum(m), m[w])] = coeff
+        return rows
+    mul, add = field.mul, field.add
+    table = weights(a)
+    for m, coeff in terms.items():
+        i, key = m[v], (sum(m), m[w])
+        row_weights = table[i]
+        for s in range(min(i + 1, r)):
+            term = mul(coeff, row_weights[s])
+            prev = rows[s].get(key)
+            rows[s][key] = term if prev is None else add(prev, term)
+    return rows
+
+
+def _vanishes_at(P, terms, field, r, passes, weights):
+    """True iff the polynomial with ``terms`` lies in I_P^r: in each degree d,
+    every D^(s,t) = sum over j of C(j, t) * b^(j - t) * rows[s][(d, j)] with
+    s + t < r is zero, where rows is the first pass of P's chart and first
+    coordinate, taken from ``passes`` or made and kept there."""
+    coords = P.coords
+    is_zero = field.is_zero
+    c = max(i for i in range(3) if not is_zero(coords[i]))
+    v, w = (u for u in range(3) if u != c)
+    a, b = coords[v], coords[w]
+    rows = passes.get((c, a))
+    if rows is None:
+        rows = passes[c, a] = _first_pass(terms, field, v, w, a, weights, r)
+    if is_zero(b):
+        return all(is_zero(e) for s in range(r) for (d, j), e in rows[s].items() if s + j < r)
+    mul, add, zero = field.mul, field.add, field.zero
+    table = weights(b)
+    for s in range(r):
+        room = r - s
+        sums = {}                           # d -> [D^(s,t) for t < room]
+        for (d, j), e in rows[s].items():
+            acc = sums.get(d)
+            if acc is None:
+                acc = sums[d] = [zero] * room
+            row_weights = table[j]
+            for t in range(min(j + 1, room)):
+                acc[t] = add(acc[t], mul(e, row_weights[t]))
+        if not all(is_zero(D) for acc in sums.values() for D in acc):
+            return False
+    return True
 
 
 def symbolic_power_membership(xi, H: PointSet, r: int) -> bool:
@@ -195,11 +216,21 @@ def symbolic_power_membership(xi, H: PointSet, r: int) -> bool:
     field = xi.ring.field
     fixing = [k for k in field.galois_exponents[1:]
               if all(field.conjugate(c, k) == c for c in xi.terms.values())]
+    top = max(sum(m) for m in xi.terms)
+    tables = {}                             # scalar -> its Taylor weights
+
+    def weights(a):
+        table = tables.get(a)
+        if table is None:
+            table = tables[a] = _taylor_weights(field, a, top, r)
+        return table
+
+    passes = {}                             # (chart, first coordinate) -> first pass
     decided = set()
     for P in H:
         if P.coords in decided:
             continue
-        if not _in_point_power(xi.terms, field, P, r):
+        if not _vanishes_at(P, xi.terms, field, r, passes, weights):
             return False
         # sigma_k keeps 0 and 1, so it keeps the normalized coordinates normalized
         decided.update(tuple(field.conjugate(a, k) for a in P.coords) for k in fixing)

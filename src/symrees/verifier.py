@@ -68,7 +68,6 @@ METHOD_LENGTH = "thm-2.1"
 
 GENERIC_FORM_DRAWS = 32
 COEFFICIENT_RANGE = 9
-ENUMERATED_FIELD_BOUND = 64  # over F_q below this, every line is tried after the draws
 HARD_CAP = 256
 
 
@@ -152,13 +151,41 @@ def _seeded_draws(seed):
         yield tuple(rng.randint(-COEFFICIENT_RANGE, COEFFICIENT_RANGE) for _ in range(3))
 
 
-def _lines_over(q, seed):
-    """Every line of the plane over F_q, as (a, b, 1), (a, 1, 0) and (1, 0, 0),
-    in one fixed cyclic order entered at position seed mod (q^2 + q + 1)."""
-    lines = [(a, b, 1) for a in range(q) for b in range(q)]
-    lines += [(a, 1, 0) for a in range(q)] + [(1, 0, 0)]
-    k = seed % len(lines)
-    return lines[k:] + lines[:k]
+def _lines_over(H, seed):
+    """The lines of the plane over F_q that can avoid H, one at a time, in one
+    fixed cyclic order of all of them, (a, b, 1), (a, 1, 0) and (1, 0, 0),
+    entered at position seed mod (q^2 + q + 1).  The lines (a, b, 1) with a
+    fixed all pass through (1 : 0 : -a), and the lines (a, 1, 0) through
+    (0 : 0 : 1); a family whose common point is in H is skipped whole."""
+    field = H.field
+    q = field.characteristic
+    blocked, through_origin = set(), False  # the a of the families (a, b, 1) through H
+    for x, y, z in (P.coords for P in H):
+        if not field.is_zero(y):
+            continue
+        if field.is_zero(x):
+            through_origin = True           # (0 : 0 : 1) is in H
+        else:
+            blocked.add(0 if field.is_zero(z) else field.neg(field.inv(x)))
+    total = q * q + q + 1
+    n = seed % total
+    end = n + total
+    while n < end:
+        k = n % total
+        if k < q * q:
+            a, b = divmod(k, q)
+            if a in blocked:
+                n += q - b
+                continue
+            yield (a, b, 1)
+        elif k < total - 1:
+            if through_origin:
+                n += total - 1 - k
+                continue
+            yield (k - q * q, 1, 0)
+        else:
+            yield (1, 0, 0)
+        n += 1
 
 
 def pick_generic_linear_form(H: PointSet, seed: int) -> GenericLinearForm:
@@ -167,16 +194,19 @@ def pick_generic_linear_form(H: PointSet, seed: int) -> GenericLinearForm:
     Accepted as soon as u vanishes at no point of H: I_H is radical (distinct
     rational points) and S/I_H Cohen-Macaulay, so such a u is a
     nonzerodivisor and dim_K S/(uS + I_H) = #H.  Up to 32 draws; over F_q
-    with q < ENUMERATED_FIELD_BOUND, every line of the plane is tried after
-    them, so GenericityExhaustedError there means no line over F_q avoids H
-    (tiny prime fields can be blocked that way).
+    the lines of the plane follow them, so GenericityExhaustedError there
+    means no line over F_q avoids H (tiny prime fields can be blocked that
+    way).  Each point off the common point of a family of lines lies on one
+    line of it, so when q > #H a free line turns up within #H + 1 lines of
+    the first family whose common point is not in H, and the walk is short
+    whatever q is.
     """
     field = H.field
     ring = base_ring(field)
     q = field.characteristic
     candidates = _seeded_draws(seed)
-    if 0 < q < ENUMERATED_FIELD_BOUND:
-        candidates = itertools.chain(candidates, _lines_over(q, seed))
+    if q:
+        candidates = itertools.chain(candidates, _lines_over(H, seed))
     for draw, coeffs in enumerate(candidates):
         u = ring.zero()
         for name, c in zip(("x", "y", "z"), coeffs):
@@ -186,7 +216,7 @@ def pick_generic_linear_form(H: PointSet, seed: int) -> GenericLinearForm:
             continue  # coefficients can collapse mod p
         if not any(field.is_zero(u.evaluate(P.coords)) for P in H):
             return GenericLinearForm(u, coeffs, seed, draw)
-    if 0 < q < ENUMERATED_FIELD_BOUND:
+    if q:
         raise GenericityExhaustedError(
             f"none of the {q * q + q + 1} lines over F_{q} avoids the {len(H)} points"
         )

@@ -6,8 +6,12 @@ truncated span by Gaussian elimination and the elimination along u by
 dividing through its pivot coefficient check the library's results from
 outside; the tuple keys below are the monomial orders written out directly,
 against which the weight rows of ``symrees.polynomials`` and the packed
-monomials of ``symrees.groebner`` are tested.
+monomials of ``symrees.groebner`` are tested.  ``in_point_power_by_shift``
+is the per-point coordinate shift that ``symrees.points`` replaced by two
+passes of Hasse derivatives.
 """
+
+from math import comb
 
 from symrees.errors import VariableMismatchError, ZeroPolynomialError
 from symrees.groebner import lead_monomial_basis
@@ -122,3 +126,50 @@ def reference_key(order, expo):
         k = len(expo) - order.n_elim
         return (_grevlex_key(expo[k:]), _grevlex_key(expo[:k]))
     raise ValueError(f"no reference key for {order!r}")
+
+
+def _shift_weights(field, a, top, r):
+    """weights[i][s] = C(i, s) * a^(i - s), the coefficient of V^s c^(i-s) in
+    (V + a*c)^i, for i < ``top`` and s < r."""
+    powers = [field.one]
+    for _ in range(top):
+        powers.append(field.mul(powers[-1], a))
+    return [[field.mul(field.from_int(comb(i, s)), powers[i - s]) for s in range(min(i + 1, r))]
+            for i in range(top)]
+
+
+def in_point_power_by_shift(terms, field, point, r):
+    """True iff the polynomial with ``terms`` lies in I_P^r, by the change of
+    coordinates V = v - a_v*c, W = w - a_w*c that sends P to the origin of
+    its chart: every term rewritten in (V, W, c) must have (V, W)-degree at
+    least r.  The reference for ``symrees.points.symbolic_power_membership``."""
+    coords = point.coords
+    c = max(i for i in range(3) if not field.is_zero(coords[i]))
+    top = 1 + max(sum(m) for m in terms)
+    done = []                               # local variables already shifted
+    for v in (v for v in range(3) if v != c):
+        if field.is_zero(coords[v]):
+            # V = v needs no shift: only the terms still below order r stay
+            terms = {m: coeff for m, coeff in terms.items()
+                     if m[v] <= r - 1 - sum(m[u] for u in done)}
+            done.append(v)
+            continue
+        weights = _shift_weights(field, coords[v], top, r)
+        shifted = {}
+        for m, coeff in terms.items():
+            i = m[v]
+            room = r - 1 - sum(m[u] for u in done)   # highest V-degree still below order r
+            for s in range(min(i, room) + 1):
+                w = weights[i][s]
+                if field.is_zero(w):
+                    continue                # C(i, s) = 0 mod p
+                e = list(m)
+                e[v] = s
+                e[c] += i - s
+                e = tuple(e)
+                term = field.mul(coeff, w)
+                prev = shifted.get(e)
+                shifted[e] = term if prev is None else field.add(prev, term)
+        terms = shifted
+        done.append(v)
+    return all(field.is_zero(coeff) for coeff in terms.values())

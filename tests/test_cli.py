@@ -242,6 +242,11 @@ def test_malformed_config_missing_keys(tmp_path):
     bad += [{"kind": "grid", "m": 2, "n": "2"}]
     bad += [{**custom, "witnesses": {**custom["witnesses"], key: v}}
             for key in ("r1", "r2") for v in (1.9, 1.0, True, "1")]
+    bad += [{**custom, "field": field} for field in (
+        {"kind": "cyclotomic", "n": 3.7}, {"kind": "cyclotomic", "n": True},
+        {"kind": "cyclotomic", "n": "3"}, {"kind": "prime", "p": 7.9},
+        {"kind": "prime", "p": 7.0}, {"kind": "prime", "p": 7, "n": 3.0})]
+    bad += [{"kind": "grid", "m": 2, "n": 2, "field": {"kind": "cyclotomic", "n": 2.0}}]
     for obj in bad:
         cfgfile.write_text(json.dumps(obj))
         assert run(["verify-custom", "--input", str(cfgfile)]) == EXIT_INPUT_ERROR, obj

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import in_point_power_by_shift
 from symrees.errors import BudgetExceededError, DuplicatePointsError, InputError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.ideals import Ideal
@@ -272,6 +273,103 @@ def test_membership_matches_groebner_oracle(rnd, field, r, kind):
 
 
 
+# --- two passes of Hasse derivatives against the per-point shift ------------------
+
+Z5, F31 = CyclotomicField(5), PrimeField(31)
+
+
+def _coordinate(field, rnd, pool):
+    """Often zero, often a value drawn before, so that points share first
+    coordinates within and across charts."""
+    if pool and rnd.random() < 0.4:
+        return rnd.choice(pool)
+    c = field.from_int(rnd.choice([0, 0, 1, -1, rnd.randint(-40, 40)]))
+    if field is Q and rnd.random() < 0.3:
+        c = Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+    if isinstance(field, CyclotomicField) and rnd.random() < 0.5:
+        zeta_k = field.pow(field.generator(), rnd.randint(1, field.n - 1))
+        c = field.add(c, field.mul(field.from_int(rnd.randint(-2, 2)), zeta_k))
+    pool.append(c)
+    return c
+
+
+def _homogeneous(ring, rnd, d):
+    terms = {}
+    for _ in range(rnd.randint(1, 4)):
+        i = rnd.randint(0, d)
+        j = rnd.randint(0, d - i)
+        terms[(i, j, d - i - j)] = ring.field.from_int(rnd.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+    return Polynomial.from_dict(ring, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, Z3, Z5, F7, F31]),
+       st.integers(1, 4), st.sampled_from(["member", "boundary", "random"]))
+def test_hasse_passes_match_the_per_point_shift(rnd, field, r, kind):
+    ring = base_ring(field)
+    pool, pts = [], []
+    for _ in range(rnd.randint(1, 5)):
+        a, b = _coordinate(field, rnd, pool), _coordinate(field, rnd, pool)
+        coords = rnd.choice([[a, b, field.one], [a, field.one, field.zero],
+                             [field.one, field.zero, field.zero]])
+        pt = ProjectivePoint(field, coords)
+        if pt not in pts:
+            pts.append(pt)
+    H = PointSet(pts)
+    # an inhomogeneous factor: two components of different degrees
+    d = rnd.randint(0, 2)
+    xi = _homogeneous(ring, rnd, d) + _homogeneous(ring, rnd, d + rnd.randint(1, 3))
+    if kind != "random":
+        # r lines through each point keep xi in I_H^(r); r - 1 usually miss it
+        for pt in H:
+            for _ in range(r if kind == "member" else r - 1):
+                line = _through(pt, ring, rnd)
+                xi = xi * (line if not line.is_zero() else defining_ideal(pt, ring).generators[0])
+    expected = all(in_point_power_by_shift(xi.terms, field, pt, r) for pt in H)
+    assert symbolic_power_membership(xi, H, r) == expected
+    if kind == "member":
+        assert expected
+
+
+def test_each_degree_component_must_vanish():
+    # x - z^2 vanishes at (1 : 2 : 1) only when its degree-1 and degree-2
+    # components are summed, so it is not in I_P
+    H = PointSet([P(1, 2, 1)])
+    assert not symbolic_power_membership(x - z**2, H, 1)
+    assert not symbolic_power_membership(z - z**2, PointSet([P(0, 0, 1)]), 1)
+    # (x - z)*(z + z^2) is: each component is a multiple of x - z
+    assert symbolic_power_membership((x - z) * (z + z**2), H, 1)
+    assert symbolic_power_membership((x - z) ** 2 * (y - 2 * z) * (1 + z**3), H, 2)
+    assert not symbolic_power_membership((x - z) * (y - 2 * z) * (1 + z**3) + x**3, H, 2)
+
+
+def test_first_pass_is_shared_by_chart_and_first_coordinate():
+    import symrees.points as points
+
+    # the same first coordinate in different charts: the first pass along v
+    # keeps w free, and w differs from chart to chart
+    assert not symbolic_power_membership(x, PointSet([P(0, 0, 1), P(1, 0, 0)]), 1)
+    assert not symbolic_power_membership(y, PointSet([P(0, 0, 1), P(0, 1, 0)]), 1)
+    assert not symbolic_power_membership(x - 2 * z, PointSet([P(2, 3, 1), P(2, 1, 0)]), 1)
+    assert symbolic_power_membership((x - 2 * z) * z, PointSet([P(2, 3, 1), P(2, 1, 0)]), 1)
+    # one first pass per chart and first coordinate
+    H = PointSet([P(1, 2, 1), P(1, 3, 1), P(2, 2, 1), P(1, 1, 0), P(2, 1, 0), P(1, 0, 0)])
+    xi = (x - z) * (x - 2 * z) * (x - y) * (x - 2 * y) * z * y
+    calls = []
+    first_pass = points._first_pass
+
+    def counted(terms, field, v, w, a, weights, r):
+        calls.append((v, w, a))
+        return first_pass(terms, field, v, w, a, weights, r)
+
+    points._first_pass = counted
+    try:
+        assert symbolic_power_membership(xi, H, 1)
+    finally:
+        points._first_pass = first_pass
+    assert calls == [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 2, 0)]
+
+
 # --- one point per Galois orbit against the per-point route ------------------------
 
 
@@ -334,19 +432,19 @@ def test_membership_by_galois_orbit_matches_per_point_route(rnd, field, r, kind,
     if kind != "base-only" and not twist:
         assert fixed == list(ks[1:])   # xi is rational
 
-    in_power = points._in_point_power
-    per_point = all(in_power(xi.terms, field, pt, r) for pt in H)
+    per_point = all(in_point_power_by_shift(xi.terms, field, pt, r) for pt in H)
     tested = []
+    vanishes_at = points._vanishes_at
 
-    def recorded(terms, fld, pt, rr):
+    def recorded(pt, *args):
         tested.append(pt)
-        return in_power(terms, fld, pt, rr)
+        return vanishes_at(pt, *args)
 
-    points._in_point_power = recorded
+    points._vanishes_at = recorded
     try:
         assert symbolic_power_membership(xi, H, r) == per_point
     finally:
-        points._in_point_power = in_power
+        points._vanishes_at = vanishes_at
     if kind == "member":
         assert per_point
     if fixed == list(ks[1:]):

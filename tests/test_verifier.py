@@ -119,14 +119,41 @@ def test_linear_form_found_exactly_when_a_line_avoids_the_points(rnd, q, with_li
     exists = any(not any(_meets(line, pt, q) for pt in coords) for line in plane)
     F = PrimeField(q)
     H = PointSet([ProjectivePoint(F, list(pt)) for pt in sorted(coords)])
+    seed = rnd.randint(0, 999)
     try:
-        u = pick_generic_linear_form(H, seed=rnd.randint(0, 999))
+        u = pick_generic_linear_form(H, seed=seed)
     except GenericityExhaustedError:
         assert not exists
     else:
         assert exists
         assert _colength_with(u, H) == len(H)
         assert not any(F.is_zero(u.polynomial.evaluate(pt.coords)) for pt in H)
+        if u.draws >= verifier.GENERIC_FORM_DRAWS:
+            # past the draws, the first free line of the seeded cyclic order
+            k = seed % len(plane)
+            order = plane[k:] + plane[:k]
+            assert u.int_coefficients == next(
+                line for line in order if not any(_meets(line, pt, q) for pt in coords))
+
+
+def test_fermat6_verifies_past_the_built_ins():
+    # a scale case: 39 points over Q(zeta_6), rhs = 6 * 6 * 39
+    report = verify(fermat(6))
+    assert report.method == METHOD_LENGTH
+    assert report.verdict == VERDICT_VERIFIED
+    assert report.lengths == {"lhs": 1404, "rhs": 1404, "stable_at": 78}
+    assert [m["member"] for m in report.memberships] == [True, True]
+    assert report.confirmation["lhs"] == 1404
+
+
+@pytest.mark.parametrize("n, p", [(11, 67), (13, 79)])
+def test_linear_form_found_past_the_draws_over_larger_prime_fields(n, p):
+    # the 32 draws all meet the fermat-n points; 121 and 169 of the lines
+    # over F_p avoid them, and the enumeration reaches one
+    H = fermat(n, field=PrimeField(p, root_order=n)).points
+    u = pick_generic_linear_form(H, seed=0)
+    assert u.draws >= verifier.GENERIC_FORM_DRAWS
+    assert not any(H.field.is_zero(u.polynomial.evaluate(pt.coords)) for pt in H)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -147,6 +174,26 @@ def test_given_form_through_a_point_is_rejected():
     u = GenericLinearForm(ring.var("x") - ring.var("y"), (1, -1, 0), 0, 0)
     with pytest.raises(InputError):
         check_condition_by_length(cfg.points, cfg.witnesses, u=u)
+
+
+def test_line_enumeration_skips_the_families_through_points_of_h():
+    # one point on each of the 32 lines drawn from seed 0 over F_1000003, and
+    # the common points (1 : 0 : 0), (-1 : 0 : 1) and (0 : 0 : 1) of the
+    # families (0, b, 1), (1, b, 1) and (a, 1, 0): 3 million lines meet H
+    # before the family (2, b, 1), which is reached at once
+    F = PrimeField(1000003)
+    pts = {ProjectivePoint(F, coords) for coords in ([1, 0, 0], [-1, 0, 1], [0, 0, 1])}
+    for a, b, c in verifier._seeded_draws(0):
+        if c:
+            pts.add(ProjectivePoint(F, [1, 1, F.div(F.from_int(-a - b), F.from_int(c))]))
+        elif b:
+            pts.add(ProjectivePoint(F, [1, F.div(F.from_int(-a), F.from_int(b)), 0]))
+        else:
+            pts.add(ProjectivePoint(F, [0, 1, 0]))
+    H = PointSet(sorted(pts, key=str))
+    u = pick_generic_linear_form(H, seed=0)
+    assert u.int_coefficients[::2] == (2, 1)
+    assert u.draws <= verifier.GENERIC_FORM_DRAWS + len(H)
 
 
 @pytest.mark.parametrize("line", [(0, 1, 0), (1, 0, 0)], ids=["y", "x"])

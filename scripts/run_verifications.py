@@ -9,12 +9,15 @@ Usage:
 list adds fermat-4, fermat-5 and grid-2x3 in characteristic zero.
 ``--scale`` runs the larger configurations of the scale sweep in ROADMAP.md
 that verify, in place of the built-ins: grids to 5x5 and the Fermat
-configurations to n = 11 (a name without ``-fP`` is over Q(zeta_k); over
+configurations to n = 13 (a name without ``-fP`` is over Q(zeta_k); over
 F_67 the 32 draws of the linear form all meet the points, and the line
 enumeration finds one).
+A configuration that raises a package error gets a row with the CLI's exit
+code for it (2 bad input, 3 a budget ran out, 4 a bug) and no report, and
+the run goes on.
 ``--compare DIR`` diffs each report against ``DIR/<name>.json`` (a previous
 ``--out-dir``), ignoring ``timings_ms``, prints the keys that differ and exits
-1 on any difference.
+1 on any difference; a configuration without a report counts as one.
 """
 
 import argparse
@@ -26,6 +29,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from symrees.configs import fermat, grid_example, three_points
+from symrees.errors import InputError, ResourceLimitError, SymreesError
 from symrees.fields import PrimeField, RationalField
 from symrees.points import ProjectivePoint
 from symrees.verifier import verify
@@ -66,7 +70,16 @@ def scale_jobs():
         ("fermat-10-f41", lambda: fermat(10, field=PrimeField(41, root_order=10))),
         ("fermat-11-f199", lambda: fermat(11, field=PrimeField(199, root_order=11))),
         ("fermat-11-f67", lambda: fermat(11, field=PrimeField(67, root_order=11))),
+        ("fermat-12-f97", lambda: fermat(12, field=PrimeField(97, root_order=12))),
+        ("fermat-13-f131", lambda: fermat(13, field=PrimeField(131, root_order=13))),
     ]
+
+
+def exit_code(exc):
+    """The CLI's exit code for a package error."""
+    if isinstance(exc, ResourceLimitError):
+        return 3
+    return 2 if isinstance(exc, InputError) else 4
 
 
 def differing_keys(new, old, prefix=""):
@@ -97,9 +110,20 @@ def main():
     differences = 0
     for name, make in scale_jobs() if args.scale else build_jobs(args.fast):
         t0 = time.monotonic()
-        report = verify(make(), seed=args.seed)
-        elapsed = round(time.monotonic() - t0, 2)
         path = outdir / f"{name}.json"
+        try:
+            report = verify(make(), seed=args.seed)
+        except SymreesError as exc:
+            elapsed = round(time.monotonic() - t0, 2)
+            path.unlink(missing_ok=True)
+            rows.append((name, None, "exit", str(exc), elapsed))
+            print(f"{name:16s} {'exit ' + str(exit_code(exc)):9s} "
+                  f"{type(exc).__name__:28s} {exc} {elapsed:7.2f}s")
+            if args.compare:
+                differences += 1
+                print(f"  no report to compare with {args.compare}/{name}.json")
+            continue
+        elapsed = round(time.monotonic() - t0, 2)
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         path.write_text(text)
         detail = ""

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for the generic linear form draw")
-    common.add_argument("--cap", type=int, default=None, help="truncation cap for local lengths")
+    common.add_argument("--cap", type=int, default=None, help="budget for N' below the proved bound (exit 3)")
     common.add_argument("--char", type=int, default=0,
                         help="0 for characteristic zero, or a prime p for fast mode over F_p")
     common.add_argument("--json", action="store_true", help="write the report as JSON")

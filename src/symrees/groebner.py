@@ -94,12 +94,6 @@ class GroebnerBasis:
     def is_unit(self):
         return len(self.polynomials) == 1 and self.polynomials[0].is_constant()
 
-    def reduce(self, f):
-        return normal_form(f, self, self.order)
-
-    def contains(self, f):
-        return self.reduce(f).is_zero()
-
     def __repr__(self):
         return f"GroebnerBasis({self.order!r}, {len(self.polynomials)} elements)"
 

@@ -60,11 +60,6 @@ class Ideal:
             self._gb[order] = gb
         return gb
 
-    def contains(self, f) -> bool:
-        if f.is_zero():
-            return True
-        return self.groebner().contains(f)
-
     def is_unit(self) -> bool:
         return self.groebner().is_unit()
 

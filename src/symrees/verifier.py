@@ -19,7 +19,9 @@ J + m^N' under the local order DS: its standard monomials, counted by degree,
 give every colength dim S/(J + m^N) with N <= N', and the first degree d with
 none certifies by Nakayama that colength(d) is the exact local length.  N'
 grows only when no such degree lies below it, and only then is J tested for
-an infinite length.
+an infinite length.  Bezout's deg xi1 * deg xi2 (of the eliminated pair)
+bounds a finite length, and d is at most the length, so N' never has to
+pass that bound plus one; a ``cap`` is an optional smaller budget.
 
 Over Q or Q(zeta_n) the length is first proved modulo a degree-one prime P
 of Z[zeta_n] over p >= 2^30.  M_N = O_P[x,y]/(f, g, m^N) is a finitely
@@ -68,7 +70,6 @@ METHOD_LENGTH = "thm-2.1"
 
 GENERIC_FORM_DRAWS = 32
 COEFFICIENT_RANGE = 9
-HARD_CAP = 256
 
 
 class GenericLinearForm:
@@ -271,14 +272,16 @@ def _first_truncation(target):
     return 2 * n
 
 
-def _certificate_runs(gens, ring, cap, first):
-    """One DS run per N', growing from N' = ``first`` up to ``cap``; yields
-    the certified ``(length, stable_at)`` of each run, or None when it has no
-    certificate, and raises CapExceededError after a run at the cap without
-    one."""
-    if cap < 3:
+def _certificate_runs(gens, ring, cap, first, bound):
+    """One DS run per N', growing from N' = ``first`` up to min(``cap``,
+    ``bound`` + 1); yields the certified ``(length, stable_at)`` of each
+    run, or None.  After a last run without one it raises CapExceededError
+    at a ``cap`` up to ``bound``, else InvariantError: ``bound`` bounds the
+    length, which every caller has found finite by then."""
+    if cap is not None and cap < 3:
         raise InputError("the truncation cap must be at least 3")
-    n = min(first, cap)
+    stop = bound + 1 if cap is None else min(cap, bound + 1)
+    n = min(first, stop)
     while True:
         counts = _local_standard_counts(gens, ring, n)
         if 0 in counts:
@@ -286,9 +289,13 @@ def _certificate_runs(gens, ring, cap, first):
             yield sum(counts[:d]), d + 1
         else:
             yield None
-        if n >= cap:
-            raise CapExceededError(f"no stabilization up to the cap N = {cap}")
-        n = min(n + max(1, n // 4), cap)
+        if n >= stop:
+            if stop <= bound:
+                raise CapExceededError(f"no stabilization up to the cap N = {cap}")
+            raise InvariantError(
+                f"no certificate up to N = {stop}, past the proved bound {bound} "
+                "on a finite local length")
+        n = min(n + max(1, n // 4), stop)
 
 
 def _meets_positive_dimension(J: Ideal) -> bool:
@@ -304,7 +311,7 @@ def _meets_positive_dimension(J: Ideal) -> bool:
     return False
 
 
-def local_length_at_origin(J: Ideal, cap: int, first: int = 2):
+def local_length_at_origin(J: Ideal, cap: int | None = None, first: int = 2):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
     Returns ``(length, stable_at)``.  One standard basis of J + m^N' under
@@ -329,12 +336,18 @@ def local_length_at_origin(J: Ideal, cap: int, first: int = 2):
     run itself stops there: once the leads cover degree d no S-pair of lcm
     degree >= d can add a lead, so none is reduced
     (``groebner._completed_basis``).  Without a certificate, N' grows by a
-    quarter up to ``cap``.  Each reduction stops at the first term no lead
-    divides (a weak normal form), so the tails up to degree N' are carried,
-    not reduced, and a run past the certificate degree costs little more
-    than one at it.  A run's cost still grows with N', though: the
-    S-polynomials and the carried tails reach degree N'.  So N' starts from
-    ``first``, not from the cap.
+    quarter from ``first`` (a run's cost grows with N') up to the bound
+    below plus one.
+
+    For J = (f, g) in two variables, the verifier's shape, a finite length
+    is I_0(f, g) <= deg f * deg g (Bezout, Fulton, Algebraic Curves, 5.3);
+    any other J gets D^n, D its largest generator degree (n general
+    combinations of the generators reduce J_m, Northcott-Rees, and cut out
+    the origin with multiplicity <= D^n, Fulton, Intersection Theory,
+    12.3.1).  Each degree below d holds a standard monomial, so d <= length
+    <= bound and N' = bound + 1 certifies a finite length; without a
+    certificate there after the gate said "finite", InvariantError.  A
+    smaller ``cap`` is a budget: CapExceededError.
 
     Only after the first run without a certificate does the INFINITE gate
     run.  The length is INFINITE exactly when a positive-dimensional
@@ -359,21 +372,24 @@ def local_length_at_origin(J: Ideal, cap: int, first: int = 2):
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return INFINITE, None
-    for run, found in enumerate(_certificate_runs(gens, ring, cap, first)):
+    degrees = [g.total_degree() for g in gens]
+    bound = (degrees[0] * degrees[1] if ring.nvars == len(gens) == 2
+             else max(degrees) ** ring.nvars)
+    for run, found in enumerate(_certificate_runs(gens, ring, cap, first, bound)):
         if found is not None:
             return found
         if run == 0 and _meets_positive_dimension(Ideal(gens, ring=ring)):
             return INFINITE, None
 
 
-def _finite_local_length(J: Ideal, cap: int, first: int):
-    """``local_length_at_origin`` for a J whose local length is already known
-    to be finite: the same runs from N' = ``first``, without the INFINITE gate."""
-    return next(found for found in _certificate_runs(J.generators, J.ring, cap, first)
+def _finite_local_length(J: Ideal, cap, first: int, bound: int):
+    """``local_length_at_origin`` for a J whose local length is known to be
+    at most ``bound``: the same runs from N' = ``first``, without the gate."""
+    return next(found for found in _certificate_runs(J.generators, J.ring, cap, first, bound)
                 if found is not None)
 
 
-def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int):
+def _local_length_mod_prime(J: Ideal, cap, rhs: int, first: int):
     """The local length L_p of J modulo a prime, with its ``stable_at``,
     when it is finite; None when it is not.
 
@@ -385,7 +401,7 @@ def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int):
     F_p certificate.  A larger L_p (an unlucky prime, or L > rhs) still
     bounds L, so the caller's exact route needs no INFINITE gate and no N'
     above L_p + 1.  An INFINITE L_p
-    (also what a generator that vanishes mod P gives), or a cap exceeded
+    (also what a generator that vanishes mod P gives), or a ``cap`` exceeded
     over F_p, proves nothing: None.  L_p < rhs contradicts L_p >= L >= rhs
     and raises InvariantError.
     """
@@ -404,17 +420,6 @@ def _local_length_mod_prime(J: Ideal, cap: int, rhs: int, first: int):
             f"the local length {lp} mod {fp.p} fell below the certified bound {rhs}"
         )
     return lp, stable_at
-
-
-def default_cap(rhs: int) -> int:
-    """Default truncation cap: 2*rhs + 8, clamped to the hard cap.
-
-    A finite local length L always stabilizes by N = L + 1, so 2*rhs + 8
-    leaves room for moderately perturbed pairs whose length exceeds rhs.  It
-    also clears the colength floor N(N+1)/2 > 4*rhs, which alone is not
-    always enough (the 2x3 grid stabilizes one step beyond that floor).
-    """
-    return min(2 * rhs + 8, HARD_CAP)
 
 
 def _eliminate_along(u: GenericLinearForm, polys):
@@ -527,8 +532,6 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
     else:
         two_ring = xi1s.ring
         J = Ideal([g for g in (xi1s, xi2s) if not g.is_zero()], ring=two_ring)
-        if cap is None:
-            cap = default_cap(rhs)
         if first is None:
             first = _first_truncation(rhs)
         found = None
@@ -543,7 +546,7 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
             # lies below N' = L_p + 1.  The first run is at the F_p stable_at,
             # where a good prime certifies too; the counts below N' do not
             # depend on N', so growing N' after it cannot move stable_at.
-            lhs, stable_at = _finite_local_length(J, min(cap, found[0] + 1), found[1])
+            lhs, stable_at = _finite_local_length(J, cap, found[1], found[0])
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:

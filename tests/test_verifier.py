@@ -30,7 +30,6 @@ from symrees.verifier import (
     _local_length_mod_prime,
     check_condition_by_length,
     check_homogeneous_condition,
-    default_cap,
     local_length_at_origin,
     pick_generic_linear_form,
     verify,
@@ -338,15 +337,46 @@ def test_local_length_cap_exceeded():
         local_length_at_origin(Ideal([a**2, a * b, b**3], ring=S2), cap=3)
 
 
-def test_default_cap_monotone_and_bounded():
-    assert default_cap(1) >= 4
-    assert default_cap(304) <= 256
-    assert default_cap(96) >= 30  # must cover the 2x3 grid stabilization at 29
-    for rhs in range(500):
-        n = default_cap(rhs)
-        assert n == min(2 * rhs + 8, 256)
-        # below the hard cap, the colength floor N(N+1)/2 > 4*rhs is cleared
-        assert n == 256 or n * (n + 1) // 2 > 4 * rhs
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, PrimeField(7)]))
+def test_local_length_within_the_bezout_bound(rnd, field):
+    # a finite length L of (f, g) certifies at some d <= L <= deg f * deg g,
+    # so the default runs, which stop at that bound plus one, find it
+    S2 = PolyRing(field, ("x", "y"))
+    f, g = _random_poly(S2, rnd, constant=False), _random_poly(S2, rnd, constant=False)
+    if f.is_zero() or g.is_zero():
+        return
+    J = Ideal([f, g], ring=S2)
+    lhs, stable_at = local_length_at_origin(J)
+    if lhs == INFINITE:
+        return
+    assert stable_at - 1 <= lhs <= f.total_degree() * g.total_degree()
+    assert local_length_at_origin(J, cap=64) == (lhs, stable_at)
+    # one run far past the bound (degrees <= 3), read without it
+    counts = verifier._local_standard_counts([f, g], S2, 24)
+    d = counts.index(0)
+    assert (sum(counts[:d]), d + 1) == (lhs, stable_at)
+
+
+def test_proved_bound_may_lie_below_the_least_cap():
+    # two linear generators: deg f * deg g = 1, so the runs stop at N' = 2;
+    # the floor of 3 holds only for a cap the caller passes
+    S2, a, b = _two_variable_ring()
+    assert local_length_at_origin(Ideal([a, b], ring=S2)) == (1, 2)
+    with pytest.raises(InputError):
+        local_length_at_origin(Ideal([a, b], ring=S2), cap=2)
+
+
+def test_no_certificate_at_the_proved_bound_is_a_bug(monkeypatch):
+    # (x^2, xy) contains the line x = 0; a gate that calls it finite lets the
+    # runs reach N' = 2 * 2 + 1 without a certificate
+    S2, a, b = _two_variable_ring()
+    monkeypatch.setattr(verifier, "_meets_positive_dimension", lambda J: False)
+    with pytest.raises(InvariantError):
+        local_length_at_origin(Ideal([a**2, a * b], ring=S2))
+    # a caller's cap below the bound still runs out first
+    with pytest.raises(CapExceededError):
+        local_length_at_origin(Ideal([a**2, a * b], ring=S2), cap=3)
 
 
 # --- homogeneous route ----------------------------------------------------------------
@@ -624,9 +654,8 @@ def _eliminated_witnesses(cfg, seed):
 ], ids=["fermat-4-seed0", "fermat-4-seed1", "grid-2x2", "grid-2x3"])
 def test_modular_local_length_matches_exact_route(make, seed):
     J, rhs = _eliminated_witnesses(make(), seed)
-    cap = default_cap(rhs)
     first = _first_truncation(rhs)
-    assert _local_length_mod_prime(J, cap, rhs, first) == local_length_at_origin(J, cap, first)
+    assert _local_length_mod_prime(J, None, rhs, first) == local_length_at_origin(J, first=first)
 
 
 @settings(max_examples=40)

@@ -27,11 +27,11 @@ KERNEL_FIRST_TRUNCATION (the first seed's one run now that its first N' is
 where set-up cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
 Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
 ``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
-linear form (the substitution that starts every length route), and one
-INFINITE gate (``_meets_positive_dimension`` on a fresh ideal of the seed-0
-eliminated witnesses of fermat-5 over F_31, the test that follows a first
-run without a certificate; no built-in configuration pays it since the first
-N' doubled), and both memberships (xi1 in I_H^(r1), xi2 in I_H^(r2)) of
+linear form (the substitution that starts every length route), one
+INFINITE length (``local_length_at_origin`` from N' = KERNEL_FIRST_TRUNCATION
+on a fresh ideal of the seed-0 eliminated witnesses of fermat-5 over F_31,
+each times x, which share the line x = 0: three runs, the third of which
+has a colength past the Bezout bound), and both memberships (xi1 in I_H^(r1), xi2 in I_H^(r2)) of
 fermat-5 over F_31 and of fermat-10 over F_41, the latter taken by name from
 ``run_verifications.scale_jobs``.  It also times the scalar layer:
 ``rationalizing_factor`` over Q(zeta_5) on FACTOR_ELEMENTS integral elements
@@ -120,8 +120,8 @@ def kernel_calls(jobs):
     from symrees.ideals import Ideal
     from symrees.verifier import (
         _eliminate_along,
-        _meets_positive_dimension,
         _truncation_inputs,
+        local_length_at_origin,
         pick_generic_linear_form,
     )
 
@@ -129,6 +129,7 @@ def kernel_calls(jobs):
     u = pick_generic_linear_form(cfg.points, seed=0)
     w = cfg.witnesses
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
+    xv = xi1.ring.var(xi1.ring.variables[0])
     gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
     first_gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_FIRST_TRUNCATION)
     f3 = fermat(3)
@@ -154,9 +155,8 @@ def kernel_calls(jobs):
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
         "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),
-        # a fresh Ideal per call: a cached basis would make later calls free
-        "infinite_gate_fermat-5-f31": lambda: _meets_positive_dimension(
-            Ideal([xi1, xi2], ring=xi1.ring)),
+        "infinite_fermat-5-f31": lambda: local_length_at_origin(
+            Ideal([xi1 * xv, xi2 * xv], ring=xi1.ring), first=KERNEL_FIRST_TRUNCATION),
         "rationalizing_factor_q-zeta5": lambda: [q5.rationalizing_factor(a) for a in elements],
         "memberships_fermat-5-f31": memberships(cfg),
         "memberships_fermat-10-f41": memberships(f10),

@@ -22,7 +22,7 @@ Prime-field runs make elements monic instead.
 
 One division loop, ``_reduce``, serves S-pair reduction, interreduction and
 ``normal_form``.  It returns only the remainder; no caller needs quotients
-(saturation is an elimination, see ``ideals``).  Against a reducer whose lead
+(intersection is an elimination, see ``ideals``).  Against a reducer whose lead
 coefficient is not one it cross-multiplies rather than divides, which leaves
 the remainder right up to a nonzero scalar and keeps char-0 coefficients
 integral.  ``normal_form`` makes its divisors monic first, so there it never

@@ -1,11 +1,11 @@
-"""Ideal-level operations: intersection, saturation, powers, dimension,
-colength and Hilbert multiplicity.
+"""Ideal-level operations: intersection, powers, dimension, colength and
+Hilbert multiplicity.
 
-Everything runs through reduced Groebner bases.  Intersection and saturation
-are each one elimination: a fresh variable s is adjoined, one reduced basis
-is computed under the block order that makes s dominate, and the elements
-free of s generate the answer (Cox-Little-O'Shea, Ideals, Varieties, and
-Algorithms, 3.3 and 4.4).
+Everything runs through reduced Groebner bases.  Intersection is one
+elimination: a fresh variable s is adjoined, one reduced basis is computed
+under the block order that makes s dominate, and the elements free of s
+generate the answer (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+3.3 and 4.4).
 
 Colength and multiplicity are read off ``groebner.standard_count``, the one
 staircase count of standard monomials.  They serve no criterion route and no
@@ -91,14 +91,6 @@ class Ideal:
         return self._eliminate(
             lambda ext, s: [g.lift(ext) * s for g in self.generators]
             + [g.lift(ext) * (ext.one() - s) for g in other.generators])
-
-    def saturation(self, f) -> "Ideal":
-        """self : f^infinity = (self + (1 - s*f)) ∩ k[x], for one polynomial f."""
-        if f.ring != self.ring:
-            raise VariableMismatchError("saturation over different rings")
-        return self._eliminate(
-            lambda ext, s: [g.lift(ext) for g in self.generators]
-            + [ext.one() - s * f.lift(ext)])
 
     def _eliminate(self, build) -> "Ideal":
         """The ideal of this ring cut out of the ideal ``build(ext, s)`` spans

@@ -18,10 +18,10 @@ The local length is computed from one m-adically truncated standard basis of
 J + m^N' under the local order DS: its standard monomials, counted by degree,
 give every colength dim S/(J + m^N) with N <= N', and the first degree d with
 none certifies by Nakayama that colength(d) is the exact local length.  N'
-grows only when no such degree lies below it, and only then is J tested for
-an infinite length.  Bezout's deg xi1 * deg xi2 (of the eliminated pair)
-bounds a finite length, and d is at most the length, so N' never has to
-pass that bound plus one; a ``cap`` is an optional smaller budget.
+grows only when no such degree lies below it.  Bezout's deg xi1 * deg xi2
+(of the eliminated pair) bounds a finite length, and every colength is at
+most the length, so a colength above the bound proves it infinite; one of
+the two happens by N' = bound + 1.  A ``cap`` is an optional smaller budget.
 
 Over Q or Q(zeta_n) the length is first proved modulo a degree-one prime P
 of Z[zeta_n] over p >= 2^30.  M_N = O_P[x,y]/(f, g, m^N) is a finitely
@@ -29,8 +29,8 @@ generated module over the DVR O_P, so dim_K(J + m^N) <= dim_F_p(J_P + m^N)
 for every N and the char-0 length is at most the F_p length L_p; Huneke
 (Michigan Math. J. 34, 1987) gives lhs >= rhs, so L_p = rhs proves lhs = rhs.
 Any other L_p (an unlucky prime, or lhs > rhs) falls back to the exact
-char-0 route; a finite L_p still bounds that route (no infinite-length test,
-N' <= L_p + 1), whose first run is at the F_p certificate degree.
+char-0 route, whose first run is at the F_p certificate degree; a finite
+L_p bounds its length, and a larger one raises InvariantError.
 ``stable_at`` is the degree of whichever certificate proved the length.
 
 ``verify`` repeats the length route with a second seed as a confirmation,
@@ -264,51 +264,11 @@ def _first_truncation(target):
     (n-1)n/2 >= target, the least N' whose colength can reach target in two
     variables.  A DS run past its certificate degree costs little (its
     reductions stop at each remainder's lead), so the first N' overshoots:
-    every built-in configuration certifies in that one run, and its INFINITE
-    gate never runs."""
+    every built-in configuration certifies in that one run."""
     n = 2
     while (n - 1) * n // 2 < target:
         n += 1
     return 2 * n
-
-
-def _certificate_runs(gens, ring, cap, first, bound):
-    """One DS run per N', growing from N' = ``first`` up to min(``cap``,
-    ``bound`` + 1); yields the certified ``(length, stable_at)`` of each
-    run, or None.  After a last run without one it raises CapExceededError
-    at a ``cap`` up to ``bound``, else InvariantError: ``bound`` bounds the
-    length, which every caller has found finite by then."""
-    if cap is not None and cap < 3:
-        raise InputError("the truncation cap must be at least 3")
-    stop = bound + 1 if cap is None else min(cap, bound + 1)
-    n = min(first, stop)
-    while True:
-        counts = _local_standard_counts(gens, ring, n)
-        if 0 in counts:
-            d = counts.index(0)
-            yield sum(counts[:d]), d + 1
-        else:
-            yield None
-        if n >= stop:
-            if stop <= bound:
-                raise CapExceededError(f"no stabilization up to the cap N = {cap}")
-            raise InvariantError(
-                f"no certificate up to N = {stop}, past the proved bound {bound} "
-                "on a finite local length")
-        n = min(n + max(1, n // 4), stop)
-
-
-def _meets_positive_dimension(J: Ideal) -> bool:
-    """True iff a positive-dimensional component of V(J) passes through the
-    origin (the INFINITE gate)."""
-    if J.krull_dimension() < 1:
-        return False
-    ring = J.ring
-    for v in ring.variables:
-        sat = J.saturation(ring.var(v))
-        if all(ring.field.is_zero(p.constant_term()) for p in sat.generators):
-            return True
-    return False
 
 
 def local_length_at_origin(J: Ideal, cap: int | None = None, first: int = 2):
@@ -336,57 +296,50 @@ def local_length_at_origin(J: Ideal, cap: int | None = None, first: int = 2):
     run itself stops there: once the leads cover degree d no S-pair of lcm
     degree >= d can add a lead, so none is reduced
     (``groebner._completed_basis``).  Without a certificate, N' grows by a
-    quarter from ``first`` (a run's cost grows with N') up to the bound
-    below plus one.
+    quarter from ``first`` (a run's cost grows with N').
 
     For J = (f, g) in two variables, the verifier's shape, a finite length
     is I_0(f, g) <= deg f * deg g (Bezout, Fulton, Algebraic Curves, 5.3);
     any other J gets D^n, D its largest generator degree (n general
     combinations of the generators reduce J_m, Northcott-Rees, and cut out
     the origin with multiplicity <= D^n, Fulton, Intersection Theory,
-    12.3.1).  Each degree below d holds a standard monomial, so d <= length
-    <= bound and N' = bound + 1 certifies a finite length; without a
-    certificate there after the gate said "finite", InvariantError.  A
-    smaller ``cap`` is a budget: CapExceededError.
-
-    Only after the first run without a certificate does the INFINITE gate
-    run.  The length is INFINITE exactly when a positive-dimensional
-    component (embedded or not) passes through the origin, i.e. when the
-    origin lies in V(J : m^infinity).  Since J : m^infinity is the
-    intersection of the J : v^infinity over the variables v and
-    V(A ∩ B) = V(A) ∪ V(B), that holds iff for some v the saturation
-    J : v^infinity, one elimination, lies in m.  The test runs only when J
-    is not zero-dimensional.  An INFINITE J never has a certificate, so it
-    pays one run at the first N'.
+    12.3.1).  S/(J + m^N') is local at the origin and a quotient of the
+    localization, so colength(N') is at most the length: a colength above
+    the bound proves the length INFINITE.  Without a certificate every
+    degree below N' holds a standard monomial, so colength(N') >= N', and
+    at N' = bound + 1 a run either certifies or proves INFINITE.  A smaller
+    ``cap`` is a budget: CapExceededError.
 
     ``first`` is the first N'.  ``check_condition_by_length`` picks it from
     the expected length (``_first_truncation``), and the confirmation seed of
     ``verify`` passes the ``stable_at`` the first seed proved.  It does not
     affect the value: the standard-monomial counts below N' do not depend on
-    N', so every schedule finds the same least degree d without one.  A
-    first N' at or above d + 1 certifies in one run and the gate never runs;
-    one below it fails, the gate runs, and N' grows by a quarter as from any
-    other first run.
+    N', so every schedule finds the same least degree d without one, or the
+    same least N' whose colength passes the bound.  A first N' at or above
+    d + 1 certifies in one run; one below it fails, and N' grows by a
+    quarter as from any other first run.
     """
     ring = J.ring
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return INFINITE, None
+    if cap is not None and cap < 3:
+        raise InputError("the truncation cap must be at least 3")
     degrees = [g.total_degree() for g in gens]
     bound = (degrees[0] * degrees[1] if ring.nvars == len(gens) == 2
              else max(degrees) ** ring.nvars)
-    for run, found in enumerate(_certificate_runs(gens, ring, cap, first, bound)):
-        if found is not None:
-            return found
-        if run == 0 and _meets_positive_dimension(Ideal(gens, ring=ring)):
+    stop = bound + 1 if cap is None else min(cap, bound + 1)
+    n = min(first, stop)
+    while True:
+        counts = _local_standard_counts(gens, ring, n)
+        if 0 in counts:
+            d = counts.index(0)
+            return sum(counts[:d]), d + 1
+        if sum(counts) > bound:
             return INFINITE, None
-
-
-def _finite_local_length(J: Ideal, cap, first: int, bound: int):
-    """``local_length_at_origin`` for a J whose local length is known to be
-    at most ``bound``: the same runs from N' = ``first``, without the gate."""
-    return next(found for found in _certificate_runs(J.generators, J.ring, cap, first, bound)
-                if found is not None)
+        if n >= stop:
+            raise CapExceededError(f"no stabilization up to the cap N = {cap}")
+        n = min(n + max(1, n // 4), stop)
 
 
 def _local_length_mod_prime(J: Ideal, cap, rhs: int, first: int):
@@ -399,11 +352,10 @@ def _local_length_mod_prime(J: Ideal, cap, rhs: int, first: int):
     char-0 length L from above, so L_p = rhs, with Huneke's
     L >= rhs, proves L = rhs; the ``stable_at`` is then the degree of that
     F_p certificate.  A larger L_p (an unlucky prime, or L > rhs) still
-    bounds L, so the caller's exact route needs no INFINITE gate and no N'
-    above L_p + 1.  An INFINITE L_p
-    (also what a generator that vanishes mod P gives), or a ``cap`` exceeded
-    over F_p, proves nothing: None.  L_p < rhs contradicts L_p >= L >= rhs
-    and raises InvariantError.
+    bounds L, and the caller checks its exact length against it.  An
+    INFINITE L_p (also what a generator that vanishes mod P gives), or a
+    ``cap`` exceeded over F_p, proves nothing: None.  L_p < rhs contradicts
+    L_p >= L >= rhs and raises InvariantError.
     """
     ring = J.ring
     fp, reduce = ring.field.reduction_mod_prime()
@@ -542,11 +494,12 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
         elif found[0] == rhs:
             lhs, stable_at = found
         else:
-            # L <= L_p is finite, and its certificate degree d <= L <= L_p
-            # lies below N' = L_p + 1.  The first run is at the F_p stable_at,
-            # where a good prime certifies too; the counts below N' do not
-            # depend on N', so growing N' after it cannot move stable_at.
-            lhs, stable_at = _finite_local_length(J, cap, found[1], found[0])
+            # the first run is at the F_p stable_at, where a good prime
+            # certifies too; L <= L_p, so a larger L is a bug
+            lhs, stable_at = local_length_at_origin(J, cap, found[1])
+            if lhs > found[0]:
+                raise InvariantError(
+                    f"the local length {lhs} exceeds its bound {found[0]} mod a prime")
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:
@@ -570,10 +523,10 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     counts below a truncation degree do not depend on it, the start changes
     neither that length nor its ``stable_at``.  When both seeds share the
     certificate degree (every built-in configuration) the confirmation is
-    one DS run and pays no INFINITE gate.  A verified report certifies
-    finite generation of the symbolic Rees ring; a non-established one
-    proves nothing either way.  Each stage is timed where it runs; the
-    confirmation seed's run is the one entry ``timings_ms["confirmation"]``.
+    one DS run.  A verified report certifies finite generation of the
+    symbolic Rees ring; a non-established one proves nothing either way.
+    Each stage is timed where it runs; the confirmation seed's run is the
+    one entry ``timings_ms["confirmation"]``.
     """
     t_total = time.monotonic()
     H = config.points

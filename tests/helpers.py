@@ -8,13 +8,17 @@ outside; the tuple keys below are the monomial orders written out directly,
 against which the weight rows of ``symrees.polynomials`` and the packed
 monomials of ``symrees.groebner`` are tested.  ``in_point_power_by_shift``
 is the per-point coordinate shift that ``symrees.points`` replaced by two
-passes of Hasse derivatives.
+passes of Hasse derivatives.  ``saturation`` and
+``meets_positive_dimension`` decide an infinite local length by
+eliminations, the test that ``symrees.verifier.local_length_at_origin``
+replaced by comparing a colength with the Bezout bound.
 """
 
 from math import comb
 
 from symrees.errors import VariableMismatchError, ZeroPolynomialError
 from symrees.groebner import lead_monomial_basis
+from symrees.ideals import Ideal
 from symrees.polynomials import DS, GREVLEX, mono_divides
 from symrees.verifier import _exponents_of_degree, _truncation_inputs
 
@@ -173,3 +177,30 @@ def in_point_power_by_shift(terms, field, point, r):
         terms = shifted
         done.append(v)
     return all(field.is_zero(coeff) for coeff in terms.values())
+
+
+def saturation(I, f):
+    """I : f^infinity = (I + (1 - s*f)) ∩ k[x], for one polynomial f, by one
+    elimination."""
+    if f.ring != I.ring:
+        raise VariableMismatchError("saturation over different rings")
+    return I._eliminate(
+        lambda ext, s: [g.lift(ext) for g in I.generators] + [ext.one() - s * f.lift(ext)])
+
+
+def meets_positive_dimension(J: Ideal) -> bool:
+    """True iff a positive-dimensional component (embedded or not) of V(J)
+    passes through the origin, i.e. iff the local length there is infinite.
+
+    That is when the origin lies in V(J : m^infinity).  Since J : m^infinity
+    is the intersection of the J : v^infinity over the variables v and
+    V(A ∩ B) = V(A) ∪ V(B), it holds iff for some v the saturation
+    J : v^infinity lies in m.  A zero-dimensional J never meets one."""
+    if J.krull_dimension() < 1:
+        return False
+    ring = J.ring
+    for v in ring.variables:
+        sat = saturation(J, ring.var(v))
+        if all(ring.field.is_zero(p.constant_term()) for p in sat.generators):
+            return True
+    return False

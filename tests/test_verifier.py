@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eliminate_by_quotient, standard_count_by_scan, truncated_colength
+from helpers import (
+    eliminate_by_quotient,
+    meets_positive_dimension,
+    saturation,
+    standard_count_by_scan,
+    truncated_colength,
+)
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import (
     CapExceededError,
@@ -262,24 +268,16 @@ def test_local_length_infinite_certificate():
     assert local_length_at_origin(Ideal([a * (1 + b)], ring=S2), cap=16) == (INFINITE, None)
 
 
-def test_infinite_gate_runs_only_after_a_run_without_certificate(monkeypatch):
-    from symrees.polynomials import PolyRing
-
-    S2 = PolyRing(Q, ("x", "y"))
-    a, b = S2.var("x"), S2.var("y")
-    runs, gates = [], []
-    lead = verifier.lead_monomial_basis
-    krull = Ideal.krull_dimension
-    monkeypatch.setattr(verifier, "lead_monomial_basis",
-                        lambda *args, **kw: runs.append(kw["truncate_degree"]) or lead(*args, **kw))
-    monkeypatch.setattr(Ideal, "krull_dimension", lambda self: gates.append(1) or krull(self))
-    # certified by the first run (N' = 4, certificate at degree 3): no gate
+def test_infinite_length_needs_no_dimension_test(monkeypatch):
+    S2, a, b = _two_variable_ring()
+    events = _traced_runs_and_gates(monkeypatch)
+    # certified by the first run (N' = 4, certificate at degree 3)
     assert local_length_at_origin(Ideal([a**2, b**2], ring=S2), cap=16, first=4) == (4, 4)
-    assert (runs, gates) == ([4], [])
-    # an INFINITE J pays one run at the first N', then the gate decides
-    runs.clear()
+    assert events == [("run", 4)]
+    # (x^2) has the bound 2^2 = 4: the run at N' = 3 has colength 1 + 2 + 2
+    events.clear()
     assert local_length_at_origin(Ideal([a**2], ring=S2), cap=16) == (INFINITE, None)
-    assert runs == [2] and gates == [1]
+    assert events == [("run", 2), ("run", 3)]
 
 
 def _length_or_cap(J, cap, first=2):
@@ -294,7 +292,7 @@ def _length_or_cap(J, cap, first=2):
 def test_local_length_does_not_depend_on_the_first_truncation(rnd, field, shared):
     S2 = PolyRing(field, ("x", "y"))
     a, b = S2.var("x"), S2.var("y")
-    # the small pairs of the gate tests, finite and INFINITE, then a random
+    # the small pairs of the tests above, finite and INFINITE, then a random
     # pair; a shared factor through the origin makes it INFINITE
     pairs = [[a**2, b**2], [a**2], [a**2, a * b], [a * (1 + b)], [a * (a - 1), b]]
     f, g = _random_poly(S2, rnd), _random_poly(S2, rnd)
@@ -367,16 +365,43 @@ def test_proved_bound_may_lie_below_the_least_cap():
         local_length_at_origin(Ideal([a, b], ring=S2), cap=2)
 
 
-def test_no_certificate_at_the_proved_bound_is_a_bug(monkeypatch):
-    # (x^2, xy) contains the line x = 0; a gate that calls it finite lets the
-    # runs reach N' = 2 * 2 + 1 without a certificate
+def test_colength_past_the_proved_bound_is_infinite():
+    # (x^2, xy) contains the line x = 0: no run certifies, and at N' = 4 the
+    # colength 1 + 2 + 1 + 1 passes deg f * deg g = 4
     S2, a, b = _two_variable_ring()
-    monkeypatch.setattr(verifier, "_meets_positive_dimension", lambda J: False)
-    with pytest.raises(InvariantError):
-        local_length_at_origin(Ideal([a**2, a * b], ring=S2))
+    assert local_length_at_origin(Ideal([a**2, a * b], ring=S2)) == (INFINITE, None)
     # a caller's cap below the bound still runs out first
     with pytest.raises(CapExceededError):
         local_length_at_origin(Ideal([a**2, a * b], ring=S2), cap=3)
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, PrimeField(7)]),
+       st.sampled_from(["plain", "through the origin", "away from it"]))
+def test_infinite_length_matches_the_saturation_oracle(rnd, field, kind):
+    S2, a, b = _two_variable_ring(field)
+    f, g = _random_poly(S2, rnd), _random_poly(S2, rnd)
+    if kind == "through the origin":
+        h = _random_poly(S2, rnd, max_terms=3, max_deg=2, constant=False)
+        f, g = f * h, g * h
+    elif kind == "away from it":
+        f, g = f * (1 + b), g * (1 + b)
+    gens = [p for p in (f, g) if not p.is_zero()]
+    if not gens:
+        return
+    J = Ideal(gens, ring=S2)
+    assert (local_length_at_origin(J)[0] == INFINITE) == meets_positive_dimension(J)
+
+
+def test_infinite_fermat_pair_runs_without_a_dimension_test(monkeypatch):
+    # the fermat-5-f31 pair times x shares the line x = 0: from the first N'
+    # of its rhs 700, the third run's colength passes deg f * deg g
+    J, rhs = _eliminated_witnesses(fermat(5, field=PrimeField(31, root_order=5)), 0)
+    xv = J.ring.var(J.ring.variables[0])
+    J = Ideal([p * xv for p in J.generators], ring=J.ring)
+    events = _traced_runs_and_gates(monkeypatch)
+    assert local_length_at_origin(J, first=_first_truncation(rhs)) == (INFINITE, None)
+    assert events == [("run", 76), ("run", 95), ("run", 118)]
 
 
 # --- homogeneous route ----------------------------------------------------------------
@@ -450,9 +475,9 @@ def _local_length_by_component_split(J):
     truncation loop."""
     ring = J.ring
     a, b = (ring.var(v) for v in ring.variables)
-    away = J.saturation(a).intersect(J.saturation(b))
+    away = saturation(J, a).intersect(saturation(J, b))
     f = next(p for p in away.groebner() if not ring.field.is_zero(p.constant_term()))
-    return J.saturation(f).vector_space_dimension()
+    return saturation(J, f).vector_space_dimension()
 
 
 def test_local_length_against_component_split_oracle():
@@ -556,7 +581,7 @@ def test_local_order_colengths_random_pairs(rnd, field):
     h = _random_poly(S2, rnd, max_terms=3, max_deg=2, constant=False)
     if h.is_zero() or f.is_zero() or g.is_zero():
         return
-    val, stable_at = local_length_at_origin(Ideal([f * h, g * h], ring=S2), cap=24)
+    val, stable_at = local_length_at_origin(Ideal([f * h, g * h], ring=S2))
     assert val == INFINITE and stable_at is None
 
 
@@ -734,8 +759,8 @@ def test_modular_step_declines_on_a_generator_in_the_prime():
 
 
 def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
-    # L_p = 320 > rhs = 304 proves the char-0 length finite (L <= L_p), so the
-    # exact route runs without the INFINITE gate, with N' at most L_p + 1
+    # L_p = 320 > rhs = 304 proves nothing, and the exact char-0 route finds
+    # L = 320 <= L_p; neither characteristic makes a dimension test
     cfg = fermat(4)
     w = cfg.witnesses
     perturbed = WitnessPair(w.xi1 * cfg.ring.var("x"), w.r1, w.xi2, w.r2)
@@ -751,7 +776,17 @@ def test_char0_fallback_runs_no_infinite_gate(monkeypatch):
     rep = check_condition_by_length(cfg.points, perturbed, u=u)
     assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
-    assert 0 not in characteristics
+    assert characteristics == []
+
+
+def test_char0_length_above_the_modular_length_is_a_bug(monkeypatch):
+    # (x^3, y^3) has length 9 in every characteristic; a length mod p of 5
+    # would bound it from above, so the exact route's 9 is reported as a bug
+    S2, a, b = _two_variable_ring()
+    monkeypatch.setattr(verifier, "_local_length_mod_prime", lambda J, cap, rhs, first: (5, 4))
+    pts = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
+    with pytest.raises(InvariantError):
+        _route_with_pair(monkeypatch, pts, WitnessPair(x * y, 1, y * z, 1), a**3, b**3)
 
 
 def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
@@ -776,7 +811,8 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
 
 def _traced_runs_and_gates(monkeypatch):
     """Log each DS run as ("run", N'), each dimension test of a two-variable
-    J (the INFINITE gate) as "gate", and each length check as ("seed", s)."""
+    J as "gate" (the length route makes none), and each length check as
+    ("seed", s)."""
     events = []
     leads = verifier.lead_monomial_basis
     krull = Ideal.krull_dimension
@@ -815,8 +851,7 @@ def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, firs
     assert events[0] == ("seed", 0)
     first, confirmation = events[1:split], events[split + 1:]
     # the first seed is one run at the N' picked from rhs, past its certificate
-    # degree, so it pays no gate; over Q(zeta_4) this is the F_p run of the
-    # modular step
+    # degree; over Q(zeta_4) this is the F_p run of the modular step
     assert first_n == _first_truncation(report.lengths["rhs"]) > report.lengths["stable_at"]
     assert first == [("run", first_n)]
     assert confirmation == [("run", report.lengths["stable_at"])]
@@ -834,8 +869,8 @@ def test_first_truncation_below_the_certificate_degree_changes_nothing(monkeypat
     assert expected["lengths"]["stable_at"] == 36
     events = _traced_runs_and_gates(monkeypatch)
     assert report(20) == expected
-    # the failed run at 20 pays the gate, then N' grows by a quarter
-    assert events == [("run", 20), "gate", ("run", 25), ("run", 31), ("run", 38)]
+    # the failed run at 20 makes no dimension test, and N' grows by a quarter
+    assert events == [("run", 20), ("run", 25), ("run", 31), ("run", 38)]
 
 
 def test_modular_length_below_rhs_is_a_bug():

@@ -17,6 +17,13 @@ metric it prints the parent's median, this checkout's median, the pairs this
 checkout won (strictly better in the direction ``BENCHMARK.json`` gives) and
 the interquartile range of the parent's runs.  A run that fails or answers
 wrongly stops the comparison.
+
+Then, for each workload, it runs SETUP_PROBES fresh-interpreter
+``perfbench/setup_probe.py`` probes per tree, alternating between the trees
+probe by probe, and prints each side's median and interquartile range.
+``setup_s`` in a ``run.py`` result is the median of only 5 probes, which can
+land far apart on identical code; the longer alternating series tells a real
+change in start-up cost from that noise.
 """
 
 import json
@@ -29,6 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 200
 SECONDS = 10
+SETUP_PROBES = 20
 
 
 def perfbench(tree, workload, seed):
@@ -42,6 +50,16 @@ def perfbench(tree, workload, seed):
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{tree}: {workload} at seed {seed} failed or answered wrongly")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def setup_probe(tree, workload, seed):
+    """Seconds of one fresh-interpreter set-up in ``tree``, as ``run.py`` times it."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "setup_probe.py"), workload, str(seed),
+         str(tree / "perfbench" / "out" / "inputs")],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout.strip().splitlines()[-1])
 
 
 def iqr(values):
@@ -75,6 +93,19 @@ def main():
             won = sum(sign * (b - a) > 0 for a, b in zip(after, before))
             print(f"{w:14} {name:12} {statistics.median(before):10.4g} "
                   f"{statistics.median(after):10.4g} {won:>3}/{PAIRS} {iqr(before):11.4g}")
+    print(f"\n{'workload':14} {'setup probes':12} {'parent':>10} {'change':>10} "
+          f"{'parent IQR':>11} {'change IQR':>11}")
+    for w in workloads:
+        probes = {"parent": [], "change": []}
+        for i in range(SETUP_PROBES):
+            order = [("parent", parent), ("change", ROOT)]
+            if i % 2:
+                order.reverse()
+            for side, tree in order:
+                probes[side].append(setup_probe(tree, w, SEED))
+        before, after = probes["parent"], probes["change"]
+        print(f"{w:14} {SETUP_PROBES:>12} {statistics.median(before):10.4g} "
+              f"{statistics.median(after):10.4g} {iqr(before):11.4g} {iqr(after):11.4g}")
 
 
 if __name__ == "__main__":

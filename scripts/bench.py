@@ -19,12 +19,13 @@ this process, with the configuration built outside the timed region; it
 records the min and median seconds and each run's ``timings_ms``.  The
 ``kernel`` block times single calls into the Groebner engine, K each, in this
 process, with their inputs built outside the timed region: two DS truncated
-runs (``lead_monomial_basis`` on fermat-5 over F_31 with the seed-0 linear
-form), one at N' = KERNEL_TRUNCATION (the largest run of that verify while
-its first N' was 38, kept for the trajectory) and one at N' =
-KERNEL_FIRST_TRUNCATION (the first seed's one run now that its first N' is
-76); one ``points_ideal`` of the same configuration (many small bases,
-where set-up cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
+runs (``lead_monomial_basis`` on the eliminated witnesses of fermat-5 over
+F_31 with the seed-0 linear form, every term of degree >= N' dropped and m^N'
+left implicit, as the length route runs them), one at N' = KERNEL_TRUNCATION
+(the largest run of that verify while its first N' was 38, kept for the
+trajectory) and one at N' = KERNEL_FIRST_TRUNCATION (the first seed's one run
+now that its first N' is 76); one ``points_ideal`` of the same configuration
+(many small bases, where set-up cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
 Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
 ``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
 linear form (the substitution that starts every length route), one
@@ -118,20 +119,13 @@ def kernel_calls(jobs):
     from symrees.points import points_ideal, symbolic_power_ideal, symbolic_power_membership
     from symrees.polynomials import DS
     from symrees.ideals import Ideal
-    from symrees.verifier import (
-        _eliminate_along,
-        _truncation_inputs,
-        local_length_at_origin,
-        pick_generic_linear_form,
-    )
+    from symrees.verifier import _eliminate_along, local_length_at_origin, pick_generic_linear_form
 
     cfg = jobs["fermat-5-f31"]()
     u = pick_generic_linear_form(cfg.points, seed=0)
     w = cfg.witnesses
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
     xv = xi1.ring.var(xi1.ring.variables[0])
-    gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_TRUNCATION)
-    first_gens = _truncation_inputs([xi1, xi2], xi1.ring, KERNEL_FIRST_TRUNCATION)
     f3 = fermat(3)
     f10 = jobs["fermat-10-f41"]()
     f4 = jobs["fermat-4"]()
@@ -149,9 +143,9 @@ def kernel_calls(jobs):
 
     return {
         "ds_truncated_fermat-5-f31": lambda: lead_monomial_basis(
-            gens, order=DS, truncate_degree=KERNEL_TRUNCATION),
+            [xi1, xi2], order=DS, truncate_degree=KERNEL_TRUNCATION - 1),
         "ds_first_run_fermat-5-f31": lambda: lead_monomial_basis(
-            first_gens, order=DS, truncate_degree=KERNEL_FIRST_TRUNCATION),
+            [xi1, xi2], order=DS, truncate_degree=KERNEL_FIRST_TRUNCATION - 1),
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
         "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),

@@ -8,8 +8,8 @@ Usage:
 ``--fast`` keeps only the prime-field runs and the small char-0 ones; the full
 list adds fermat-4, fermat-5 and grid-2x3 in characteristic zero.
 ``--scale`` runs the larger configurations of the scale sweep in ROADMAP.md
-that verify, in place of the built-ins: grids to 5x5 and the Fermat
-configurations to n = 13 (a name without ``-fP`` is over Q(zeta_k); over
+that verify, in place of the built-ins: grids to 5x5 and 3x7 and the Fermat
+configurations to n = 16 (a name without ``-fP`` is over Q(zeta_k); over
 F_67 the 32 draws of the linear form all meet the points, and the line
 enumeration finds one).
 A configuration that raises a package error gets a row with the CLI's exit
@@ -64,6 +64,7 @@ def scale_jobs():
         ("grid-3x4", lambda: grid_example(3, 4)),
         ("grid-3x5", lambda: grid_example(3, 5)),
         ("grid-5x5", lambda: grid_example(5, 5)),
+        ("grid-3x7", lambda: grid_example(3, 7)),
         ("fermat-6", lambda: fermat(6)),
         ("fermat-7", lambda: fermat(7)),
         ("fermat-8", lambda: fermat(8)),
@@ -72,6 +73,7 @@ def scale_jobs():
         ("fermat-11-f67", lambda: fermat(11, field=PrimeField(67, root_order=11))),
         ("fermat-12-f97", lambda: fermat(12, field=PrimeField(97, root_order=12))),
         ("fermat-13-f131", lambda: fermat(13, field=PrimeField(131, root_order=13))),
+        ("fermat-16-f257", lambda: fermat(16, field=PrimeField(257, root_order=16))),
     ]
 
 

@@ -25,7 +25,7 @@ is a positive multiple of a^-1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -152,13 +152,12 @@ def json_int(obj, key):
     return value
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Serializable description of a coefficient field."""
+class FieldSpec(namedtuple("FieldSpec", "kind n p", defaults=(None, None))):
+    """Serializable description of a coefficient field: ``kind`` is "rational",
+    "cyclotomic" or "prime", ``n`` the cyclotomic conductor or the root order
+    a prime field carries, ``p`` the prime."""
 
-    kind: str                 # "rational" | "cyclotomic" | "prime"
-    n: int | None = None      # cyclotomic conductor, or the root order a prime field carries
-    p: int | None = None
+    __slots__ = ()
 
     def to_json(self):
         if self.kind == "rational":

@@ -38,26 +38,30 @@ N', so reducing them was most of a run's cost.  Global orders keep full
 reduction: interreduction needs it, and a lead-only remainder in their
 S-pair loop made the symbolic-power eliminations slower, not faster.
 
-``truncate_degree=N`` silently drops every term of total degree > N.  That is
-only sound when the generators include all monomials of degree exactly N (the
-drop is then an exact division step against one of them), which is how the
-length computations arrange their m-adic truncations.  A local order (DS) is
-accepted only with a truncation: the cap is what leaves finitely many live
-monomials, so that reduction terminates and the result is a standard basis of
-the m-primary ideal.  Such a run also ends at its first covered degree: under
-DS no term of a pair's S-polynomial or of its reduction has degree below the
-pair's lcm, so once the leads cover every monomial of degree c, no pair of
-lcm degree >= c can add a lead.  No such pair is queued (c <= N when m^N is
-among the generators), and the run stops when the heap's least lcm degree is
-covered; the minimal leads are those of the full run.  ``standard_count``,
-the staircase count of standard monomials of one degree, decides coverage
-here, gives the colengths in ``verifier``, and gives the colength and the
-Hilbert multiplicity in ``ideals``; it is the package's one counter of
-standard monomials.
+``truncate_degree=N`` drops every term of total degree > N.  Under a local
+degree order (DS) the run computes in S/m^(N+1), exact for any generators: a
+lead is among its element's lowest-degree terms, so the S-polynomial with a
+monomial of degree N + 1 has no term left.  Its leads and m^(N+1) span the
+initial ideal of J + m^(N+1), J the generators' ideal, and the length
+computations add no monomial.  Under a global order a tail can lie below its
+lead's degree, so the drop is sound only with every monomial of degree N
+among the generators (a dropped term is a multiple of one).  A local order
+is accepted only with a truncation: the cap is what leaves finitely many
+live monomials, so that reduction terminates.  Such a run also ends at its
+first covered degree: under DS no term of a pair's S-polynomial or of its
+reduction has degree below the pair's lcm, so once the leads cover every
+monomial of degree c, no pair of lcm degree >= c can add a lead.  No such
+pair is queued (c <= N + 1), and the run stops when the heap's least lcm
+degree is covered; the minimal leads are those of the full run.
+``standard_count``, the staircase count of standard monomials of one degree,
+decides coverage here, gives the colengths in ``verifier``, and gives the
+colength and the Hilbert multiplicity in ``ideals``; it is the package's one
+counter of standard monomials.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import operator
 
@@ -226,10 +230,12 @@ def _reduce(terms, reducers, field, pk):
     S-polynomial reduction and interreduction need.  Against monic reducers
     nothing is scaled and the result is the exact remainder.
 
-    Under a local order (``pk.local``) the loop stops at the first term no
-    reducer lead divides and returns it with the unreduced rest of the work
-    list: a weak normal form.  Its lead monomial is that of the full
-    remainder, since full reduction never changes a term once it has
+    A term's divisor is the first reducer in the list whose lead divides it;
+    under a truncation ``_completed_basis`` lists them by term count, so that
+    is the shortest.  Under a local order (``pk.local``) the loop stops at the
+    first term no reducer lead divides and returns it with the unreduced rest
+    of the work list: a weak normal form.  Its lead monomial is that of the
+    full remainder, since full reduction never changes a term once it has
     passed into the remainder, other than by a scalar.
     """
     rem = []
@@ -348,9 +354,9 @@ def _completed_basis(generators, order, cap):
     is among the lowest-degree terms.  So once the leads cover every monomial
     of some degree c, every pair of lcm degree >= c reduces to zero.  No
     pair of lcm degree >= c is queued, with c the first degree the
-    generators' leads cover (the cap when m^cap is among them).  Pairs pop
-    in non-decreasing lcm degree, so the run ends as soon as the leads cover
-    the degree of the heap's minimum: every pair left then reduces to zero.
+    generators' leads cover, or cap + 1, past which every term drops.  Pairs
+    pop in non-decreasing lcm degree, so the run ends as soon as the leads
+    cover the degree of the heap's minimum: every pair left reduces to zero.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -378,6 +384,9 @@ def _completed_basis(generators, order, cap):
             deduped.append(it)
 
     basis = []       # (lead_mono, lead_coeff, terms)
+    # under a truncation _reduce gets the same entries by term count, so the
+    # first divisor it finds is the shortest
+    by_length = [] if cap is not None else basis
     exponents = []   # the lead exponent tuples, for the lcms
     pending = set()  # unordered index pairs awaiting treatment
     heap = []        # (degree field of the lcm, lcm, i, j)
@@ -395,7 +404,10 @@ def _completed_basis(generators, order, cap):
         lm = items[0][0]
         e = unpack(lm)
         j = len(basis)
-        basis.append((lm, items[0][1], items))
+        entry = (lm, items[0][1], items)
+        basis.append(entry)
+        if cap is not None:
+            bisect.insort(by_length, entry, key=lambda b: len(b[2]))
         for i in range(j):
             l = pack(map(max, exponents[i], e))
             if l & deg < cut:
@@ -443,7 +455,7 @@ def _completed_basis(generators, order, cap):
             left = _shifted(ti, l - lmi, pk, scale=lcj, field=field)
         right = _shifted(tj, l - lmj, pk, scale=field.neg(lci), field=field)
         s = _merge(left, right, field)
-        rem = _reduce(s, basis, field, pk)
+        rem = _reduce(s, by_length, field, pk)
         if rem:
             add_element(_normalize_element(rem, field))
     return ring, field, pk, basis

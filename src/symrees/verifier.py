@@ -51,6 +51,7 @@ import time
 
 from .errors import (
     CapExceededError,
+    EmptyIdealError,
     GenericityExhaustedError,
     InputError,
     InvariantError,
@@ -229,33 +230,15 @@ def pick_generic_linear_form(H: PointSet, seed: int) -> GenericLinearForm:
 # --- local length by m-adic truncation ----------------------------------------------
 
 
-def _exponents_of_degree(nvars, d):
-    """Exponent tuples of total degree d, in descending lex order."""
-    if nvars == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in _exponents_of_degree(nvars - 1, d - e):
-            yield (e,) + rest
-
-
-def _truncation_inputs(gens, ring, n):
-    """Generators of J + m^N as the truncated runs take them: every generator
-    cut below degree N, plus all monomials of degree N."""
-    trunc = []
-    for g in gens:
-        items = {m: c for m, c in g.terms.items() if sum(m) < n}
-        if items:
-            trunc.append(Polynomial(ring, items))
-    trunc.extend(ring.monomial(e) for e in _exponents_of_degree(ring.nvars, n))
-    return trunc
-
-
 def _local_standard_counts(gens, ring, n):
     """Standard monomials of J + m^n under DS, counted by degree 0..n-1: the
-    colength of J + m^N for any N <= n is the sum of the first N counts."""
-    leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), order=DS,
-                                truncate_degree=n)
+    colength of J + m^N for any N <= n is the sum of the first N counts.
+    m^n is left implicit: the run drops every term of degree >= n, so it
+    computes in S/m^n.  When it drops every term, J + m^n = m^n."""
+    try:
+        leads = lead_monomial_basis(gens, order=DS, truncate_degree=n - 1)
+    except EmptyIdealError:
+        leads = ()
     return [standard_count(leads, ring.nvars, d) for d in range(n)]
 
 
@@ -274,11 +257,11 @@ def _first_truncation(target):
 def local_length_at_origin(J: Ideal, cap: int | None = None, first: int = 2):
     """Length of the localization at the irrelevant maximal ideal, or INFINITE.
 
-    Returns ``(length, stable_at)``.  One standard basis of J + m^N' under
-    the local order DS is computed, with every term of degree > N' dropped
+    Returns ``(length, stable_at)``.  One standard basis of J in S/m^N'
+    under the local order DS is computed, every term of degree >= N' dropped
     (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6-1.7;
-    Mora's tangent cone algorithm).  J + m^N' is m-primary, so the standard
-    basis is finite and its lead monomials span in(J + m^N').
+    Mora's tangent cone algorithm).  It is finite, and its lead monomials
+    and m^N' span in(J + m^N').
 
     One run gives every colength up to N'.  Under a local degree order the
     lead term of f lies among its lowest-degree terms, so for N <= N' an

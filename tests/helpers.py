@@ -20,7 +20,6 @@ from symrees.errors import VariableMismatchError, ZeroPolynomialError
 from symrees.groebner import lead_monomial_basis
 from symrees.ideals import Ideal
 from symrees.polynomials import DS, GREVLEX, mono_divides
-from symrees.verifier import _exponents_of_degree, _truncation_inputs
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -47,19 +46,34 @@ def compare(order, a, b):
     return (ka > kb) - (ka < kb)
 
 
+def exponents_of_degree(nvars, d):
+    """Exponent tuples of total degree d, in descending lex order."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for e in range(d, -1, -1):
+        for rest in exponents_of_degree(nvars - 1, d - e):
+            yield (e,) + rest
+
+
 def standard_count_by_scan(leads, nvars, d):
     """Number of degree-d monomials outside the monomial ideal the leads
     span, each monomial tested against each lead."""
     return sum(
-        1 for mono in _exponents_of_degree(nvars, d)
+        1 for mono in exponents_of_degree(nvars, d)
         if not any(mono_divides(lm, mono) for lm in leads)
     )
 
 
+def with_truncation_monomials(gens, ring, n):
+    """The generators of J followed by every monomial of degree n: J + m^n."""
+    return list(gens) + [ring.monomial(e) for e in exponents_of_degree(ring.nvars, n)]
+
+
 def truncated_colength(gens, ring, n):
-    """dim_K S/(J + m^N) from one grevlex run; the reference the local-order
-    route is tested against."""
-    leads = lead_monomial_basis(_truncation_inputs(gens, ring, n), truncate_degree=n)
+    """dim_K S/(J + m^N) from one grevlex run on J with m^N among its
+    generators; the reference the local-order route is tested against."""
+    leads = lead_monomial_basis(with_truncation_monomials(gens, ring, n), truncate_degree=n)
     return sum(standard_count_by_scan(leads, ring.nvars, d) for d in range(n))
 
 
@@ -78,7 +92,7 @@ def local_leads_by_elimination(generators, n):
         if not terms:
             continue
         for d in range(n - min(map(sum, terms)) + 1):
-            for a in _exponents_of_degree(ring.nvars, d):
+            for a in exponents_of_degree(ring.nvars, d):
                 row = {tuple(i + j for i, j in zip(a, m)): c
                        for m, c in terms.items() if d + sum(m) <= n}
                 while row:

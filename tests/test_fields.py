@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import symrees
 from symrees.errors import InputError, NoSuchRootError
 from symrees.fields import (
     CyclotomicField,
@@ -161,6 +166,25 @@ def test_field_spec_round_trip():
                  FieldSpec("prime", p=13, n=4), FieldSpec("prime", p=7)):
         assert FieldSpec.from_json(spec.to_json()) == spec
         assert make_field(spec).spec == spec
+
+
+def test_equal_field_specs_hash_equal():
+    assert FieldSpec("prime", p=13, n=4) == FieldSpec("prime", 4, 13)
+    assert hash(FieldSpec("prime", p=13, n=4)) == hash(FieldSpec("prime", 4, 13))
+    assert hash(FieldSpec("rational")) == hash(FieldSpec.from_json({"kind": "rational"}))
+    assert PrimeField(13, root_order=4) == PrimeField(13, root_order=4)
+    assert hash(CyclotomicField(5)) == hash(CyclotomicField(5))
+    assert FieldSpec("prime", p=7) != FieldSpec("prime", p=7, n=3)
+    assert repr(FieldSpec("cyclotomic", n=4)) == "FieldSpec(kind='cyclotomic', n=4, p=None)"
+
+
+def test_import_loads_no_dataclasses():
+    # the package's start-up cost: dataclasses pulls in inspect, ast and dis
+    src = str(pathlib.Path(symrees.__file__).resolve().parent.parent)
+    code = "import sys, symrees; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- randomized field axioms -------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compare, local_leads_by_elimination, reference_key, s_polynomial
+from helpers import (
+    compare,
+    local_leads_by_elimination,
+    reference_key,
+    s_polynomial,
+    with_truncation_monomials,
+)
 from symrees.errors import BudgetExceededError, EmptyIdealError, ZeroPolynomialError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees import groebner
@@ -253,14 +259,12 @@ def test_symbolic_power_basis_coefficients_stay_small(monkeypatch):
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]),
        st.sampled_from([2, 3]), st.booleans())
 def test_truncated_ds_leads_match_elimination(rnd, field, nvars, with_power):
-    from symrees.verifier import _truncation_inputs
-
     ring = PolyRing(field, ("x", "y", "z")[:nvars])
     # small n next to the generators' degrees puts pairs at the covered degree
     n = rnd.randint(2, 6 if nvars == 2 else 4)
     gens = _random_polys(ring, rnd, max_terms=4, max_exp=rnd.randint(1, 3), constant=False)
     if with_power:
-        gens = _truncation_inputs(gens, ring, n)  # J cut below n, plus m^n
+        gens = with_truncation_monomials(gens, ring, n)  # J plus m^n
     if not any(sum(m) <= n for g in gens for m in g.terms):
         with pytest.raises(EmptyIdealError):
             lead_monomial_basis(gens, order=DS, truncate_degree=n)
@@ -275,12 +279,12 @@ def test_truncated_run_ends_at_its_first_covered_degree(monkeypatch):
     # monomial (stable_at 36), so the run at N' = 40 reduces no S-polynomial
     # whose terms all have degree >= 36
     from symrees.configs import fermat
-    from symrees.verifier import _eliminate_along, _truncation_inputs, pick_generic_linear_form
+    from symrees.verifier import _eliminate_along, pick_generic_linear_form
 
     cfg = fermat(4, field=PrimeField(13, root_order=4))
     u = pick_generic_linear_form(cfg.points, seed=0)
     a, b = _eliminate_along(u, [cfg.witnesses.xi1, cfg.witnesses.xi2])
-    gens = _truncation_inputs([a, b], a.ring, 40)
+    gens = with_truncation_monomials([a, b], a.ring, 40)  # J plus m^40
     reduce = groebner._reduce
     lowest = []
 

@@ -10,6 +10,7 @@ from helpers import (
     saturation,
     standard_count_by_scan,
     truncated_colength,
+    with_truncation_monomials,
 )
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import (
@@ -22,10 +23,10 @@ from symrees.errors import (
 )
 from symrees import verifier
 from symrees.fields import CyclotomicField, PrimeField, RationalField, degree_one_prime
-from symrees.groebner import reduced_groebner_basis, standard_count
+from symrees.groebner import lead_monomial_basis, reduced_groebner_basis, standard_count
 from symrees.ideals import INFINITE, Ideal
 from symrees.points import PointSet, ProjectivePoint, base_ring, points_ideal
-from symrees.polynomials import PolyRing, Polynomial
+from symrees.polynomials import DS, PolyRing, Polynomial
 from symrees.verifier import (
     METHOD_HOMOGENEOUS,
     METHOD_LENGTH,
@@ -585,6 +586,41 @@ def test_local_order_colengths_random_pairs(rnd, field):
     assert val == INFINITE and stable_at is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]),
+       st.integers(1, 10), st.booleans())
+def test_counts_with_the_power_of_m_left_implicit(rnd, field, n, dropped):
+    # the route runs on J alone with every term of degree >= N' dropped; the
+    # old route ran on J + m^N' with every term of degree > N' dropped.  With
+    # ``dropped`` every term of J has degree >= N', so the run gets no term
+    # and J + m^N' = m^N'.
+    S2, a, b = _two_variable_ring(field)
+    f, g = _random_poly(S2, rnd), _random_poly(S2, rnd)
+    if dropped:
+        i = rnd.randint(0, n)
+        f, g = f * a**i * b**(n - i), g * b**rnd.randint(n, n + 2)
+    gens = [p for p in (f, g) if not p.is_zero()]
+    if not gens:
+        return
+    old = lead_monomial_basis(with_truncation_monomials(gens, S2, n), order=DS,
+                              truncate_degree=n)
+    kept = []
+
+    def spied(*args, **kw):
+        leads = lead_monomial_basis(*args, **kw)
+        kept.extend(leads)
+        return leads
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "lead_monomial_basis", spied)
+        counts = verifier._local_standard_counts(gens, S2, n)
+    assert counts == [standard_count_by_scan(old, 2, d) for d in range(n)]
+    # the run computes in S/m^N': no lead at or above N'
+    assert all(sum(lm) < n for lm in kept)
+    if dropped:
+        assert counts == [d + 1 for d in range(n)]
+
+
 def test_local_order_needs_truncation():
     from symrees.groebner import lead_monomial_basis, normal_form
     from symrees.polynomials import DS
@@ -797,13 +833,13 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
     perturbed = WitnessPair(w.xi1 * cfg.ring.var("x"), w.r1, w.xi2, w.r2)
     u = pick_generic_linear_form(cfg.points, seed=0)
     runs = []
-    leads = verifier.lead_monomial_basis
+    counts = verifier._local_standard_counts
 
-    def counted(gens, order, truncate_degree):
-        runs.append((gens[0].ring.field.characteristic, truncate_degree))
-        return leads(gens, order=order, truncate_degree=truncate_degree)
+    def counted(gens, ring, n):
+        runs.append((ring.field.characteristic, n))
+        return counts(gens, ring, n)
 
-    monkeypatch.setattr(verifier, "lead_monomial_basis", counted)
+    monkeypatch.setattr(verifier, "_local_standard_counts", counted)
     rep = check_condition_by_length(cfg.points, perturbed, u=u)
     assert rep.lengths == {"lhs": 320, "rhs": 304, "stable_at": 37}
     assert [n for p, n in runs if p == 0] == [37]
@@ -812,15 +848,16 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
 def _traced_runs_and_gates(monkeypatch):
     """Log each DS run as ("run", N'), each dimension test of a two-variable
     J as "gate" (the length route makes none), and each length check as
-    ("seed", s)."""
+    ("seed", s).  N' is read where the length route asks for the counts
+    below it, not from the run's truncate_degree."""
     events = []
-    leads = verifier.lead_monomial_basis
+    counts = verifier._local_standard_counts
     krull = Ideal.krull_dimension
     by_length = verifier.check_condition_by_length
 
-    def run(*args, **kw):
-        events.append(("run", kw["truncate_degree"]))
-        return leads(*args, **kw)
+    def run(gens, ring, n):
+        events.append(("run", n))
+        return counts(gens, ring, n)
 
     def gate(self):
         if self.ring.nvars == 2:
@@ -831,7 +868,7 @@ def _traced_runs_and_gates(monkeypatch):
         events.append(("seed", kw["seed"]))
         return by_length(*args, **kw)
 
-    monkeypatch.setattr(verifier, "lead_monomial_basis", run)
+    monkeypatch.setattr(verifier, "_local_standard_counts", run)
     monkeypatch.setattr(Ideal, "krull_dimension", gate)
     monkeypatch.setattr(verifier, "check_condition_by_length", seed)
     return events

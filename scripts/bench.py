@@ -36,9 +36,10 @@ has a colength past the Bezout bound), and both memberships (xi1 in I_H^(r1), xi
 fermat-5 over F_31 and of fermat-10 over F_41, the latter taken by name from
 ``run_verifications.scale_jobs``.  It also times the scalar layer:
 ``rationalizing_factor`` over Q(zeta_5) on FACTOR_ELEMENTS integral elements
-with FACTOR_BITS-bit coordinates drawn at seed SEED.  The file
-goes to the root of the checkout, with the Python version, ``nproc``, the
-git revision and K.  Every timing is taken with ``time.perf_counter``.
+with FACTOR_BITS-bit coordinates drawn at seed SEED.  ``src_lines`` is the
+line count of ``src/symrees/*.py``, the size of the code those timings come
+from.  The file goes to the root of the checkout, with the Python version,
+``nproc``, the git revision and K.  Every timing is taken with ``time.perf_counter``.
 """
 
 import argparse
@@ -71,6 +72,12 @@ def git_rev():
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
                            capture_output=True, text=True).stdout.strip()
     return proc.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def src_lines():
+    """Lines of ``src/symrees/*.py``."""
+    return sum(len(path.read_text().splitlines())
+               for path in (ROOT / "src" / "symrees").glob("*.py"))
 
 
 def perfbench(workload, seed, seconds, trace):
@@ -180,6 +187,7 @@ def main():
         "meta": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "git_rev": git_rev(), "k": K, "perfbench_runs": PERFBENCH_RUNS,
                  "seed": SEED, "seconds": seconds},
+        "src_lines": src_lines(),
         "perfbench": {},
         "verify": {},
         "kernel": {},

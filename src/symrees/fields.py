@@ -101,10 +101,26 @@ def prime_divisors(n: int):
     return out
 
 
+def _root_of_order(n: int, p: int) -> int:
+    """An element of order exactly n mod the prime p = 1 (mod n): a^((p-1)/n)
+    for the least a >= 1 that gives order n.  a -> a^((p-1)/n) maps F_p^*
+    onto the n-th roots of unity, and a share phi(n)/n of all a land on one
+    of order n, so the search takes a few modular powers, not a scan of F_p."""
+    qs = prime_divisors(n)
+    a = 1
+    while True:
+        omega = pow(a, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in qs):
+            return omega
+        a += 1
+
+
 def embed_root_into_prime_field(n: int, p: int) -> int:
     """Smallest residue of multiplicative order exactly n in F_p.
 
-    Requires p = 1 (mod n) so that the cyclic group F_p^* has an order-n element.
+    Requires p = 1 (mod n) so that the cyclic group F_p^* has an order-n
+    element.  The elements of order n are the omega^k with k prime to n, for
+    any one omega of them, so the least is found with n modular powers.
     """
     if n < 1:
         raise InputError("root order must be positive")
@@ -112,11 +128,8 @@ def embed_root_into_prime_field(n: int, p: int) -> int:
         raise InputError(f"{p} is not prime")
     if (p - 1) % n != 0:
         raise NoSuchRootError(f"F_{p} has no element of order {n}: {p} != 1 mod {n}")
-    qs = prime_divisors(n)
-    for g in range(1, p):
-        if pow(g, n, p) == 1 and all(pow(g, n // q, p) != 1 for q in qs):
-            return g
-    raise NoSuchRootError(f"no order-{n} element found in F_{p}")  # unreachable
+    omega = _root_of_order(n, p)
+    return min(pow(omega, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 REDUCTION_PRIME_FLOOR = 1 << 30
@@ -129,19 +142,12 @@ def degree_one_prime(n: int):
 
     omega is a root of Phi_n mod p, so zeta_n -> omega is a ring map
     Z[zeta_n] -> F_p; its kernel is a prime of Z[zeta_n] of degree one over p.
-    omega is a^((p-1)/n) for the least a >= 2 that gives order n, so finding it
-    costs a few modular powers, not a scan of F_p.
+    omega is the one ``_root_of_order`` finds.
     """
     p = REDUCTION_PRIME_FLOOR + (1 - REDUCTION_PRIME_FLOOR) % n
     while not is_prime(p):
         p += n
-    qs = prime_divisors(n)
-    a = 2
-    while True:
-        omega = pow(a, (p - 1) // n, p)
-        if all(pow(omega, n // q, p) != 1 for q in qs):
-            return p, omega
-        a += 1
+    return p, _root_of_order(n, p)
 
 
 def json_int(obj, key):

@@ -38,25 +38,22 @@ N', so reducing them was most of a run's cost.  Global orders keep full
 reduction: interreduction needs it, and a lead-only remainder in their
 S-pair loop made the symbolic-power eliminations slower, not faster.
 
-``truncate_degree=N`` drops every term of total degree > N.  Under a local
-degree order (DS) the run computes in S/m^(N+1), exact for any generators: a
-lead is among its element's lowest-degree terms, so the S-polynomial with a
-monomial of degree N + 1 has no term left.  Its leads and m^(N+1) span the
-initial ideal of J + m^(N+1), J the generators' ideal, and the length
-computations add no monomial.  Under a global order a tail can lie below its
-lead's degree, so the drop is sound only with every monomial of degree N
-among the generators (a dropped term is a multiple of one).  A local order
-is accepted only with a truncation: the cap is what leaves finitely many
-live monomials, so that reduction terminates.  Such a run also ends at its
-first covered degree: under DS no term of a pair's S-polynomial or of its
-reduction has degree below the pair's lcm, so once the leads cover every
-monomial of degree c, no pair of lcm degree >= c can add a lead.  No such
-pair is queued (c <= N + 1), and the run stops when the heap's least lcm
-degree is covered; the minimal leads are those of the full run.
-``standard_count``, the staircase count of standard monomials of one degree,
-decides coverage here, gives the colengths in ``verifier``, and gives the
-colength and the Hilbert multiplicity in ``ideals``; it is the package's one
-counter of standard monomials.
+``truncate_degree=N`` drops every term of total degree > N, and it is taken
+under the local degree order DS alone, which in turn needs it: the cap is what
+leaves finitely many live monomials, so that reduction terminates.  The run
+computes in S/m^(N+1), exact for any generators: a lead is among its element's
+lowest-degree terms, so the S-polynomial with a monomial of degree N + 1 has
+no term left.  Its leads and m^(N+1) span the initial ideal of J + m^(N+1), J
+the generators' ideal; a J inside m^(N+1) leaves no lead.  The run also ends
+at its first covered degree: under DS no term of a pair's S-polynomial or of
+its reduction has degree below the pair's lcm, so once the leads cover every
+monomial of degree c, no pair of lcm degree >= c can add a lead.  No such pair
+is queued (c <= N + 1), and the run stops when the heap's least lcm degree is
+covered; the minimal leads are those of the full run.  ``standard_count``, the
+staircase count of standard monomials of one degree, decides coverage here,
+gives the colengths in ``verifier``, and gives the colength and the Hilbert
+multiplicity in ``ideals``; it is the package's one counter of standard
+monomials.
 """
 
 from __future__ import annotations
@@ -213,9 +210,14 @@ def _merge(a, b, field):
 
 
 def _check_order(order, cap=None):
-    """Reduction under a local order terminates only below a degree cap."""
+    """A degree cap goes with a local order and with no other.  Reduction
+    under a local order terminates only below a cap.  Under a global order a
+    tail can lie below its lead's degree, so dropping the terms past a cap
+    gives wrong leads."""
     if order.is_local and cap is None:
         raise InputError(f"the local order {order!r} needs a truncate_degree")
+    if cap is not None and not order.is_local:
+        raise InputError(f"the global order {order!r} takes no truncate_degree")
 
 
 def _reduce(terms, reducers, field, pk):
@@ -347,9 +349,11 @@ def standard_count(leads, nvars, d):
 def _completed_basis(generators, order, cap):
     """Run Buchberger to completion; returns (ring, field, packing, basis)
     where basis entries are (lead_mono, lead_coeff, terms) and every S-pair
-    reduces to zero.  Not yet minimal or interreduced.
+    reduces to zero.  Not yet minimal or interreduced.  A cap comes with a
+    local order (``_check_order``); when it drops every term the basis is
+    empty.
 
-    Under a local order every term of an S-polynomial, and of each reduction
+    Under the local order every term of an S-polynomial, and of each reduction
     step after it, has degree at least that of the pair's lcm, since a lead
     is among the lowest-degree terms.  So once the leads cover every monomial
     of some degree c, every pair of lcm degree >= c reduces to zero.  No
@@ -374,26 +378,21 @@ def _completed_basis(generators, order, cap):
         items = _prepare(g, pk)
         if items:
             prepared.append(_normalize_element(items, field))
-    if not prepared:
-        raise EmptyIdealError("all generators vanished under the degree cap")
     # canonical tie-break so the initial basis never depends on input order
     prepared.sort()
-    deduped = [prepared[0]]
-    for it in prepared[1:]:
-        if it != deduped[-1]:
-            deduped.append(it)
+    deduped = [it for k, it in enumerate(prepared) if not k or it != prepared[k - 1]]
 
+    local = order.is_local
     basis = []       # (lead_mono, lead_coeff, terms)
     # under a truncation _reduce gets the same entries by term count, so the
     # first divisor it finds is the shortest
-    by_length = [] if cap is not None else basis
+    by_length = [] if local else basis
     exponents = []   # the lead exponent tuples, for the lcms
     pending = set()  # unordered index pairs awaiting treatment
     heap = []        # (degree field of the lcm, lcm, i, j)
     pack, unpack, zero = pk.pack, pk.unpack, pk.zero
     guard, deg = pk.guard, pk.deg_mask
     nvars, shift = ring.nvars, ring.nvars * EXP_BITS
-    local = order.is_local
     cut = deg + 1    # degree field of c: no pair of lcm degree >= c is queued
     if local:
         leads = [unpack(items[0][0]) for items in deduped]
@@ -406,7 +405,7 @@ def _completed_basis(generators, order, cap):
         j = len(basis)
         entry = (lm, items[0][1], items)
         basis.append(entry)
-        if cap is not None:
+        if local:
             bisect.insort(by_length, entry, key=lambda b: len(b[2]))
         for i in range(j):
             l = pack(map(max, exponents[i], e))

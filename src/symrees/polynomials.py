@@ -42,7 +42,8 @@ class MonomialOrder:
     Global orders (grevlex, lex, block) are well-orders with 1 minimal.  A
     local order (``is_local``, here only DS) has 1 maximal: it is a well-order
     only on the finitely many monomials below a degree bound, so Groebner
-    computations accept it only together with ``truncate_degree``.
+    computations accept it only together with ``truncate_degree``, and
+    ``truncate_degree`` only with it.
     """
 
     kind = "?"

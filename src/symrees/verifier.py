@@ -51,7 +51,6 @@ import time
 
 from .errors import (
     CapExceededError,
-    EmptyIdealError,
     GenericityExhaustedError,
     InputError,
     InvariantError,
@@ -234,11 +233,9 @@ def _local_standard_counts(gens, ring, n):
     """Standard monomials of J + m^n under DS, counted by degree 0..n-1: the
     colength of J + m^N for any N <= n is the sum of the first N counts.
     m^n is left implicit: the run drops every term of degree >= n, so it
-    computes in S/m^n.  When it drops every term, J + m^n = m^n."""
-    try:
-        leads = lead_monomial_basis(gens, order=DS, truncate_degree=n - 1)
-    except EmptyIdealError:
-        leads = ()
+    computes in S/m^n.  A J inside m^n leaves no lead, and then every
+    monomial below degree n is standard: J + m^n = m^n."""
+    leads = lead_monomial_basis(gens, order=DS, truncate_degree=n - 1)
     return [standard_count(leads, ring.nvars, d) for d in range(n)]
 
 
@@ -281,17 +278,17 @@ def local_length_at_origin(J: Ideal, cap: int | None = None, first: int = 2):
     (``groebner._completed_basis``).  Without a certificate, N' grows by a
     quarter from ``first`` (a run's cost grows with N').
 
-    For J = (f, g) in two variables, the verifier's shape, a finite length
-    is I_0(f, g) <= deg f * deg g (Bezout, Fulton, Algebraic Curves, 5.3);
-    any other J gets D^n, D its largest generator degree (n general
-    combinations of the generators reduce J_m, Northcott-Rees, and cut out
-    the origin with multiplicity <= D^n, Fulton, Intersection Theory,
-    12.3.1).  S/(J + m^N') is local at the origin and a quotient of the
-    localization, so colength(N') is at most the length: a colength above
-    the bound proves the length INFINITE.  Without a certificate every
-    degree below N' holds a standard monomial, so colength(N') >= N', and
-    at N' = bound + 1 a run either certifies or proves INFINITE.  A smaller
-    ``cap`` is a budget: CapExceededError.
+    J is the verifier's shape: one or two generators in two variables (none
+    gives INFINITE); any other J raises InputError.  For J = (f, g) a finite
+    length is I_0(f, g) <= deg f * deg g (Bezout, Fulton, Algebraic Curves,
+    5.3).  A single f (u divides a witness) has a finite length only when
+    f(0) != 0, and then it is 0, so any bound holds; deg f * deg f is taken.
+    S/(J + m^N') is local at the origin and a quotient of the localization,
+    so colength(N') is at most the length: a colength above the bound proves
+    the length INFINITE.  Without a certificate every degree below N' holds
+    a standard monomial, so colength(N') >= N', and at N' = bound + 1 a run
+    either certifies or proves INFINITE.  A smaller ``cap`` is a budget:
+    CapExceededError.
 
     ``first`` is the first N'.  ``check_condition_by_length`` picks it from
     the expected length (``_first_truncation``), and the confirmation seed of
@@ -302,15 +299,14 @@ def local_length_at_origin(J: Ideal, cap: int | None = None, first: int = 2):
     d + 1 certifies in one run; one below it fails, and N' grows by a
     quarter as from any other first run.
     """
-    ring = J.ring
-    gens = [g for g in J.generators if not g.is_zero()]
+    ring, gens = J.ring, J.generators
     if not gens:
         return INFINITE, None
+    if ring.nvars != 2 or len(gens) > 2:
+        raise InputError("a local length needs one or two generators in two variables")
     if cap is not None and cap < 3:
         raise InputError("the truncation cap must be at least 3")
-    degrees = [g.total_degree() for g in gens]
-    bound = (degrees[0] * degrees[1] if ring.nvars == len(gens) == 2
-             else max(degrees) ** ring.nvars)
+    bound = gens[0].total_degree() * gens[-1].total_degree()
     stop = bound + 1 if cap is None else min(cap, bound + 1)
     n = min(first, stop)
     while True:
@@ -462,27 +458,23 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
 
     t0 = time.monotonic()
     xi1s, xi2s = _eliminate_along(u, [witnesses.xi1, witnesses.xi2])
-    if xi1s.is_zero() and xi2s.is_zero():
-        lhs, stable_at = INFINITE, None
+    J = Ideal([xi1s, xi2s], ring=xi1s.ring)  # no generator if u divides both
+    if first is None:
+        first = _first_truncation(rhs)
+    found = None
+    if field.characteristic == 0:
+        found = _local_length_mod_prime(J, cap, rhs, first)
+    if found is None:
+        lhs, stable_at = local_length_at_origin(J, cap, first)
+    elif found[0] == rhs:
+        lhs, stable_at = found
     else:
-        two_ring = xi1s.ring
-        J = Ideal([g for g in (xi1s, xi2s) if not g.is_zero()], ring=two_ring)
-        if first is None:
-            first = _first_truncation(rhs)
-        found = None
-        if field.characteristic == 0:
-            found = _local_length_mod_prime(J, cap, rhs, first)
-        if found is None:
-            lhs, stable_at = local_length_at_origin(J, cap, first)
-        elif found[0] == rhs:
-            lhs, stable_at = found
-        else:
-            # the first run is at the F_p stable_at, where a good prime
-            # certifies too; L <= L_p, so a larger L is a bug
-            lhs, stable_at = local_length_at_origin(J, cap, found[1])
-            if lhs > found[0]:
-                raise InvariantError(
-                    f"the local length {lhs} exceeds its bound {found[0]} mod a prime")
+        # the first run is at the F_p stable_at, where a good prime
+        # certifies too; L <= L_p, so a larger L is a bug
+        lhs, stable_at = local_length_at_origin(J, cap, found[1])
+        if lhs > found[0]:
+            raise InvariantError(
+                f"the local length {lhs} exceeds its bound {found[0]} mod a prime")
     report.timings_ms["local_length"] = _ms(t0)
 
     if lhs != INFINITE and lhs < rhs:

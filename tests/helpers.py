@@ -72,8 +72,9 @@ def with_truncation_monomials(gens, ring, n):
 
 def truncated_colength(gens, ring, n):
     """dim_K S/(J + m^N) from one grevlex run on J with m^N among its
-    generators; the reference the local-order route is tested against."""
-    leads = lead_monomial_basis(with_truncation_monomials(gens, ring, n), truncate_degree=n)
+    generators, untruncated; the reference the local-order route is tested
+    against."""
+    leads = lead_monomial_basis(with_truncation_monomials(gens, ring, n))
     return sum(standard_count_by_scan(leads, ring.nvars, d) for d in range(n))
 
 

@@ -141,6 +141,19 @@ def test_embed_root_matches_brute_force_order_search():
 
     for n, p in [(4, 13), (6, 7), (5, 11), (12, 13), (8, 17), (3, 7)]:
         assert embed_root_into_prime_field(n, p) == brute(n, p)
+    for p in filter(is_prime, range(2, 200)):
+        for n in range(1, 40):
+            if (p - 1) % n == 0:
+                assert embed_root_into_prime_field(n, p) == brute(n, p)
+    # at p ~ 2^30 the least element of order 5 is out of a scan's reach (a
+    # scan from 1 takes minutes); there the oracle is the least of the
+    # order-5 powers of a primitive root g, found by testing g^((p-1)/q)
+    # for the primes q dividing p - 1
+    n, p = 5, 1073741831
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors(p - 1)))
+    least = min(pow(g, k * (p - 1) // n, p) for k in range(1, n) if gcd(k, n) == 1)
+    assert embed_root_into_prime_field(n, p) == least == 287503752
 
 
 @pytest.mark.parametrize("n,p", [(4, 13), (6, 7), (5, 11), (12, 13), (10, 11)])

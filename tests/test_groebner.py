@@ -11,7 +11,7 @@ from helpers import (
     s_polynomial,
     with_truncation_monomials,
 )
-from symrees.errors import BudgetExceededError, EmptyIdealError, ZeroPolynomialError
+from symrees.errors import BudgetExceededError, EmptyIdealError, InputError, ZeroPolynomialError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees import groebner
 from symrees.groebner import (
@@ -265,10 +265,11 @@ def test_truncated_ds_leads_match_elimination(rnd, field, nvars, with_power):
     gens = _random_polys(ring, rnd, max_terms=4, max_exp=rnd.randint(1, 3), constant=False)
     if with_power:
         gens = with_truncation_monomials(gens, ring, n)  # J plus m^n
-    if not any(sum(m) <= n for g in gens for m in g.terms):
+    if not gens:  # every draw was zero
         with pytest.raises(EmptyIdealError):
             lead_monomial_basis(gens, order=DS, truncate_degree=n)
         return
+    # a J inside m^(n+1) leaves no lead on either side
     leads = lead_monomial_basis(gens, order=DS, truncate_degree=n)
     assert len(set(leads)) == len(leads)
     assert set(leads) == local_leads_by_elimination(gens, n)
@@ -405,6 +406,16 @@ def test_degree_past_the_packed_fields_raises():
         lead_monomial_basis([x, y], order=DS, truncate_degree=MAX_DEGREE + 1)
     # a monomial of degree exactly MAX_DEGREE is kept
     assert normal_form(x**MAX_DEGREE, [x**MAX_DEGREE - y**MAX_DEGREE]) == y**MAX_DEGREE
-    # under a cap the same terms are dropped, not an error
-    assert lead_monomial_basis([x**MAX_DEGREE + y**MAX_DEGREE, x * y],
-                               truncate_degree=MAX_DEGREE) == ((1, 1, 0), (MAX_DEGREE, 0, 0))
+    # under a cap such terms are dropped, not an error: the S-polynomial
+    # y * (x + y^MAX) - x * y is y^(MAX + 1), past the cap
+    S2 = PolyRing(Q, ("x", "y"))
+    a, b = S2.var("x"), S2.var("y")
+    assert lead_monomial_basis([a + b**MAX_DEGREE, a * b], order=DS,
+                               truncate_degree=MAX_DEGREE) == ((1, 0),)
+
+
+def test_global_order_takes_no_truncation():
+    # in(J + m^3) for J = (x^2 + y) is (x^2, xy, y^2), yet a grevlex run cut
+    # at degree 2 would drop the S-polynomials with m^3 and keep only x^2
+    with pytest.raises(InputError):
+        lead_monomial_basis([x**2 + y], GREVLEX, truncate_degree=2)

@@ -228,13 +228,24 @@ def test_linear_form_enumeration_keeps_the_seeded_draws():
 
 
 def test_local_length_maximal_ideal():
-    val, _ = local_length_at_origin(Ideal([x, y, z]), cap=16)
+    S2, a, b = _two_variable_ring()
+    val, _ = local_length_at_origin(Ideal([a, b], ring=S2), cap=16)
     assert val == 1
 
 
 def test_local_length_fat_direction():
-    val, _ = local_length_at_origin(Ideal([x, y, z**2]), cap=16)
+    S2, a, b = _two_variable_ring()
+    val, _ = local_length_at_origin(Ideal([a, b**2], ring=S2), cap=16)
     assert val == 2
+
+
+def test_local_length_takes_only_a_plane_pair():
+    # the Bezout bound is for one or two generators in two variables
+    with pytest.raises(InputError):
+        local_length_at_origin(Ideal([x, y, z]), cap=16)
+    S2, a, b = _two_variable_ring()
+    with pytest.raises(InputError):
+        local_length_at_origin(Ideal([a**2, a * b, b**3], ring=S2), cap=16)
 
 
 def test_local_length_square_corner():
@@ -246,11 +257,9 @@ def test_local_length_square_corner():
     val, n = local_length_at_origin(J, cap=16)
     assert val == 4
     assert n is not None
-    # in three variables the same generators leave the z-axis through the
-    # origin, so the local length is infinite
-    S3 = base_ring(Q)
-    J3 = Ideal([S3.var("x") ** 2, S3.var("y") ** 2], ring=S3)
-    assert local_length_at_origin(J3, cap=16)[0] == INFINITE
+    # (x^2 y, y^3) = y (x^2, y^2) leaves the line y = 0 through the origin,
+    # so the local length is infinite
+    assert local_length_at_origin(Ideal([a**2 * b, b**3], ring=S2), cap=16)[0] == INFINITE
 
 
 def test_local_length_infinite_certificate():
@@ -332,8 +341,9 @@ def test_local_length_cap_exceeded():
 
     S2 = PolyRing(Q, ("x", "y"))
     a, b = S2.var("x"), S2.var("y")
+    # (x^2, y^3) certifies at degree 4: the runs at N' = 2 and 3 do not
     with pytest.raises(CapExceededError):
-        local_length_at_origin(Ideal([a**2, a * b, b**3], ring=S2), cap=3)
+        local_length_at_origin(Ideal([a**2, b**3], ring=S2), cap=3)
 
 
 @settings(max_examples=40)

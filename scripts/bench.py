@@ -28,7 +28,10 @@ now that its first N' is 76); one ``points_ideal`` of the same configuration
 (many small bases, where set-up cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
 Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
 ``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
-linear form (the substitution that starts every length route), one
+linear form (the substitution that starts every length route), the same
+elimination on fermat-5 over F_31 (the length-prime workload's) and on
+grid-3x7 over Q(zeta_21) (the front end at scale, taken by name from
+``run_verifications.scale_jobs``), each with its seed-0 linear form, one
 INFINITE length (``local_length_at_origin`` from N' = KERNEL_FIRST_TRUNCATION
 on a fresh ideal of the seed-0 eliminated witnesses of fermat-5 over F_31,
 each times x, which share the line x = 0: three runs, the third of which
@@ -138,6 +141,9 @@ def kernel_calls(jobs):
     f4 = jobs["fermat-4"]()
     u4 = pick_generic_linear_form(f4.points, seed=0)
     w4 = f4.witnesses
+    g37 = jobs["grid-3x7"]()
+    u37 = pick_generic_linear_form(g37.points, seed=0)
+    w37 = g37.witnesses
     q5 = CyclotomicField(5)
     rng = random.Random(SEED)
     bound = 1 << FACTOR_BITS
@@ -156,6 +162,8 @@ def kernel_calls(jobs):
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
         "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),
+        "eliminate_along_fermat-5-f31": lambda: _eliminate_along(u, [w.xi1, w.xi2]),
+        "eliminate_along_grid-3x7": lambda: _eliminate_along(u37, [w37.xi1, w37.xi2]),
         "infinite_fermat-5-f31": lambda: local_length_at_origin(
             Ideal([xi1 * xv, xi2 * xv], ring=xi1.ring), first=KERNEL_FIRST_TRUNCATION),
         "rationalizing_factor_q-zeta5": lambda: [q5.rationalizing_factor(a) for a in elements],

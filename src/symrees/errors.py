@@ -47,10 +47,6 @@ class ZeroPolynomialError(InputError):
     """The zero polynomial has no degree / lead term."""
 
 
-class SelfReferenceError(InputError):
-    """A substitution expression involves the variable being replaced."""
-
-
 # --- ideals -----------------------------------------------------------------
 
 class EmptyIdealError(InputError):

@@ -396,7 +396,11 @@ def _completed_basis(generators, order, cap):
     cut = deg + 1    # degree field of c: no pair of lcm degree >= c is queued
     if local:
         leads = [unpack(items[0][0]) for items in deduped]
-        c = next((d for d in range(cap + 1) if not standard_count(leads, nvars, d)), cap + 1)
+        c = cap + 1
+        # x_i^c is covered only by a pure power of x_i: without one for
+        # every variable no degree is covered, and the scan is skipped
+        if all(any(lm[i] == sum(lm) for lm in leads) for i in range(nvars)):
+            c = next((d for d in range(c) if not standard_count(leads, nvars, d)), c)
         cut = c << shift
 
     def add_element(items):
@@ -424,9 +428,7 @@ def _completed_basis(generators, order, cap):
             if not standard_count(exponents, nvars, current >> shift):
                 break  # c drops to the heap's minimum: every pair left reduces to zero
         _, l, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        pending.remove((i, j))
         lmi, lci, ti = basis[i]
         lmj, lcj, tj = basis[j]
         if len(ti) == 1 and len(tj) == 1:

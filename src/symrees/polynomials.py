@@ -14,7 +14,6 @@ import operator
 from .errors import (
     FieldMismatchError,
     InputError,
-    SelfReferenceError,
     VariableMismatchError,
     ZeroPolynomialError,
 )
@@ -384,28 +383,6 @@ class Polynomial:
         m = max(self.terms, key=key)
         return m, self.terms[m]
 
-    def substitute(self, var, value):
-        """Replace ``var`` by the polynomial ``value`` (which must not involve it)."""
-        ring = self.ring
-        i = ring.variables.index(var)
-        value = self._coerce(value)
-        if any(m[i] for m in value.terms):
-            raise SelfReferenceError(f"substitution for {var} involves {var}")
-        buckets = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            rest = m[:i] + (0,) + m[i + 1:]
-            buckets.setdefault(e, {})[rest] = c
-        if not buckets:
-            return ring.zero()
-        top = max(buckets)
-        acc = ring.zero()
-        for e in range(top, -1, -1):
-            acc = acc * value
-            if e in buckets:
-                acc = acc + Polynomial(ring, buckets[e])
-        return acc
-
     def evaluate(self, values):
         """Evaluate at a full scalar tuple, one value per ring variable."""
         field = self.ring.field
@@ -453,17 +430,6 @@ class Polynomial:
                 raise VariableMismatchError("polynomial involves a dropped variable")
             terms[m[:k]] = c
         return Polynomial(smaller, terms)
-
-    def drop_variable(self, var):
-        """Remove one (absent) variable from the ring."""
-        i = self.ring.variables.index(var)
-        newring = PolyRing(self.ring.field, self.ring.variables[:i] + self.ring.variables[i + 1:])
-        terms = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                raise VariableMismatchError(f"polynomial involves {var}")
-            terms[m[:i] + m[i + 1:]] = c
-        return Polynomial(newring, terms)
 
     # -- printing ----------------------------------------------------------------
 

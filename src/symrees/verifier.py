@@ -362,24 +362,46 @@ def _eliminate_along(u: GenericLinearForm, polys):
     multiplied by a^(deg xi - e), and x_p is replaced by -l.  The image is a
     nonzero scalar multiple of xi(x_p = -l/a), so the ideal and every length
     stay the same, and over Q and Q(zeta_n) its coordinates are integers.
+
+    The image is built on the exponent pairs (i, j) of the two other
+    variables v, w.  The scaled terms are grouped by their x_p-degree e, and
+    Horner's rule runs in x_p from the top e down: the accumulator is
+    multiplied by -l = b_v*v + b_w*w, one shifted copy per nonzero b, and
+    the group of e is added.
     """
     coeffs = u.int_coefficients
     ring = polys[0].ring
     field = ring.field
+    add, mul, is_zero = field.add, field.mul, field.is_zero
     pivot = max((i for i in range(3) if not field.is_zero(field.from_int(coeffs[i]))),
                 key=lambda i: (abs(coeffs[i]), i))
-    pname = ring.variables[pivot]
+    v, w = (i for i in range(3) if i != pivot)
+    plane = PolyRing(field, (ring.variables[v], ring.variables[w]))
     a = field.from_int(coeffs[pivot])
-    minus_l = ring.zero()
-    for i, c in enumerate(coeffs):
-        if i != pivot and c:
-            minus_l = minus_l + ring.var(ring.variables[i]).scale(field.from_int(-c))
+    bv, bw = field.from_int(-coeffs[v]), field.from_int(-coeffs[w])
+    steps = [(di, dj, b) for di, dj, b in ((1, 0, bv), (0, 1, bw)) if not is_zero(b)]
     out = []
     for p in polys:
         top = max(map(sum, p.terms), default=0)
-        scaled = Polynomial(ring, {m: field.mul(field.pow(a, top - m[pivot]), c)
-                                   for m, c in field.rescale_terms(list(p.terms.items()))})
-        out.append(scaled.substitute(pname, minus_l).drop_variable(pname))
+        groups = {}
+        for m, c in field.rescale_terms(list(p.terms.items())):
+            groups.setdefault(m[pivot], []).append(((m[v], m[w]), c))
+        acc = {}
+        for e in range(max(groups, default=-1), -1, -1):
+            scale = field.pow(a, top - e)
+            nxt = {key: mul(scale, c) for key, c in groups.get(e, ())}
+            for (i, j), c in acc.items():
+                for di, dj, b in steps:
+                    key = (i + di, j + dj)
+                    t = mul(c, b)
+                    if key in nxt:
+                        t = add(nxt[key], t)
+                        if is_zero(t):
+                            del nxt[key]
+                            continue
+                    nxt[key] = t
+            acc = nxt
+        out.append(Polynomial(plane, acc))
     return out
 
 

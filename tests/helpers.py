@@ -19,7 +19,7 @@ from math import comb
 from symrees.errors import VariableMismatchError, ZeroPolynomialError
 from symrees.groebner import lead_monomial_basis
 from symrees.ideals import Ideal
-from symrees.polynomials import DS, GREVLEX, mono_divides
+from symrees.polynomials import DS, GREVLEX, PolyRing, mono_divides
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -115,18 +115,25 @@ def local_leads_by_elimination(generators, n):
 def eliminate_by_quotient(coeffs, polys):
     """The images of the polys with the pivot variable of the linear form
     ``coeffs`` replaced by -(the rest of the form) / (its coefficient), the
-    pivot chosen as in ``verifier._eliminate_along``."""
+    pivot chosen as in ``verifier._eliminate_along``.  Built term by term as
+    monomial * expr**e in the ring of the two other variables."""
     ring = polys[0].ring
     field = ring.field
     pivot = max((i for i in range(3) if not field.is_zero(field.from_int(coeffs[i]))),
                 key=lambda i: (abs(coeffs[i]), i))
+    rest = [i for i in range(3) if i != pivot]
+    plane = PolyRing(field, [ring.variables[i] for i in rest])
     inv = field.inv(field.from_int(coeffs[pivot]))
-    expr = ring.zero()
-    for i, c in enumerate(coeffs):
-        if i != pivot and c:
-            expr = expr + ring.var(ring.variables[i]).scale(field.mul(field.from_int(-c), inv))
-    pname = ring.variables[pivot]
-    return [p.substitute(pname, expr).drop_variable(pname) for p in polys]
+    expr = plane.zero()
+    for name, i in zip(plane.variables, rest):
+        expr = expr + plane.var(name).scale(field.mul(field.from_int(-coeffs[i]), inv))
+    images = []
+    for p in polys:
+        image = plane.zero()
+        for m, c in p.terms.items():
+            image = image + plane.monomial([m[i] for i in rest], c) * expr**m[pivot]
+        images.append(image)
+    return images
 
 
 def _grevlex_key(expo):

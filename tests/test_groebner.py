@@ -414,6 +414,24 @@ def test_degree_past_the_packed_fields_raises():
                                truncate_degree=MAX_DEGREE) == ((1, 0),)
 
 
+def test_leads_without_a_pure_power_skip_the_covered_degree_scan(monkeypatch):
+    # no lead is a power of y or of z, so no degree is ever covered; a scan
+    # for the first covered degree would count every degree up to the cap,
+    # each a sum of d + 1 two-variable counts (about 500,000 calls here)
+    calls = []
+    count = groebner.standard_count
+
+    def counted(leads, nvars, d):
+        calls.append(nvars)
+        return count(leads, nvars, d)
+
+    monkeypatch.setattr(groebner, "standard_count", counted)
+    assert lead_monomial_basis([x + y**1000, x * y], order=DS,
+                               truncate_degree=1000) == ((1, 0, 0),)
+    # only the heap's one lcm degree, 2, is counted: 3 two-variable counts
+    assert calls == [3, 2, 2, 2]
+
+
 def test_global_order_takes_no_truncation():
     # in(J + m^3) for J = (x^2 + y) is (x^2, xy, y^2), yet a grevlex run cut
     # at degree 2 would drop the S-polynomials with m^3 and keep only x^2

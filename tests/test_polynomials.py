@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from symrees.errors import (
     FieldMismatchError,
-    SelfReferenceError,
     VariableMismatchError,
     ZeroPolynomialError,
 )
@@ -80,17 +79,6 @@ def test_mixing_fields_raises():
     T = PolyRing(Q, ("x", "y"))
     with pytest.raises(VariableMismatchError):
         x + T.var("x")
-
-
-def test_substitute_examples():
-    assert (x + y + z).substitute("z", -x - y).is_zero()
-    assert (x**2).substitute("x", y) == y**2
-    assert (x * y + z**2).substitute("z", x - y) == x * y + (x - y) ** 2
-
-
-def test_substitute_self_reference():
-    with pytest.raises(SelfReferenceError):
-        (x + z).substitute("z", x + z)
 
 
 def test_evaluate():

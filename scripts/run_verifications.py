@@ -7,6 +7,11 @@ Usage:
 
 ``--fast`` keeps only the prime-field runs and the small char-0 ones; the full
 list adds fermat-4, fermat-5 and grid-2x3 in characteristic zero.
+After the built-ins, in the default and ``--fast`` modes, come five pairs
+that are not established, one for each shape such a report takes: a witness
+outside its symbolic power on the product and on the length route, an
+infinite length, and lhs > rhs over Q(zeta_4) (the exact char-0 run after
+F_p) and over F_13.
 ``--scale`` runs the larger configurations of the scale sweep in ROADMAP.md
 that verify, in place of the built-ins: grids to 5x5 and 3x7 and the Fermat
 configurations to n = 16 (a name without ``-fP`` is over Q(zeta_k); over
@@ -28,7 +33,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from symrees.configs import fermat, grid_example, three_points
+from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import InputError, ResourceLimitError, SymreesError
 from symrees.fields import PrimeField, RationalField
 from symrees.points import ProjectivePoint
@@ -55,6 +60,32 @@ def build_jobs(fast: bool):
             ("grid-2x3", lambda: grid_example(2, 3)),
         ]
     return jobs
+
+
+def _rewitnessed(make, change):
+    """A maker of ``make()``'s configuration with the witness pair
+    ``change(witnesses, x, y)`` in place of its own."""
+    def made():
+        cfg = make()
+        cfg.witnesses = change(cfg.witnesses, cfg.ring.var("x"), cfg.ring.var("y"))
+        return cfg
+    return made
+
+
+def negative_jobs():
+    built = dict(build_jobs(False))
+    return [
+        ("three-points-nonmember", _rewitnessed(
+            built["three-points"], lambda w, x, y: WitnessPair(w.xi1, w.r1, x, w.r2))),
+        ("grid-2x2-nonmember", _rewitnessed(
+            built["grid-2x2"], lambda w, x, y: WitnessPair(x * w.xi1 + y, w.r1, w.xi2, w.r2))),
+        ("grid-2x2-infinite", _rewitnessed(
+            built["grid-2x2"], lambda w, x, y: WitnessPair(w.xi2, w.r2, w.xi2, w.r2))),
+        ("fermat-4-above", _rewitnessed(
+            built["fermat-4"], lambda w, x, y: WitnessPair(w.xi1 * x, w.r1, w.xi2, w.r2))),
+        ("fermat-4-f13-above", _rewitnessed(
+            built["fermat-4-f13"], lambda w, x, y: WitnessPair(w.xi1 * x, w.r1, w.xi2, w.r2))),
+    ]
 
 
 def scale_jobs():
@@ -110,7 +141,8 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     differences = 0
-    for name, make in scale_jobs() if args.scale else build_jobs(args.fast):
+    jobs = scale_jobs() if args.scale else build_jobs(args.fast) + negative_jobs()
+    for name, make in jobs:
         t0 = time.monotonic()
         path = outdir / f"{name}.json"
         try:
@@ -119,7 +151,7 @@ def main():
             elapsed = round(time.monotonic() - t0, 2)
             path.unlink(missing_ok=True)
             rows.append((name, None, "exit", str(exc), elapsed))
-            print(f"{name:16s} {'exit ' + str(exit_code(exc)):9s} "
+            print(f"{name:22s} {'exit ' + str(exit_code(exc)):9s} "
                   f"{type(exc).__name__:28s} {exc} {elapsed:7.2f}s")
             if args.compare:
                 differences += 1
@@ -128,14 +160,16 @@ def main():
         elapsed = round(time.monotonic() - t0, 2)
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         path.write_text(text)
-        detail = ""
         if report.lengths:
-            detail = f"lhs = rhs = {report.lengths['lhs']}"
+            lhs, rhs = report.lengths["lhs"], report.lengths["rhs"]
+            detail = f"lhs = rhs = {rhs}" if lhs == rhs else f"lhs = {lhs}, rhs = {rhs}"
         elif report.product_check:
             pc = report.product_check
             detail = f"{pc['d1']}*{pc['d2']} = {pc['r1']}*{pc['r2']}*{pc['e']}"
+        else:
+            detail = "a witness not a member"
         rows.append((name, report.method, report.verdict, detail, elapsed))
-        print(f"{name:16s} {report.method:9s} {report.verdict:28s} {detail:22s} {elapsed:7.2f}s")
+        print(f"{name:22s} {report.method:9s} {report.verdict:28s} {detail:22s} {elapsed:7.2f}s")
         if args.compare:
             old = pathlib.Path(args.compare) / f"{name}.json"
             keys = (differing_keys(json.loads(text), json.loads(old.read_text()))

@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=None, help="budget for N' below the proved bound (exit 3)")
     common.add_argument("--char", type=int, default=0,
                         help="0 for characteristic zero, or a prime p for fast mode over F_p")
-    common.add_argument("--json", action="store_true", help="write the report as JSON")
-    common.add_argument("--out", type=str, default=None, help="path for the JSON report")
+    common.add_argument("--json", action="store_true", help="needs --out, which writes the report by itself")
+    common.add_argument("--out", type=str, default=None, help="write the JSON report to this path")
 
     p = sub.add_parser("verify-fermat", parents=[common],
                        help="the n-th roots grid plus the coordinate triangle")
@@ -160,10 +160,10 @@ def _json_field(obj, char: int) -> Field:
     return RationalField()
 
 
-def _print_report(report):
+def _print_report(report, field):
     lines = []
     cfg = report.config or {}
-    lines.append(f"configuration: {cfg.get('kind', '?')} {_params_of(cfg)} over {_field_str(report.field)}")
+    lines.append(f"configuration: {cfg.get('kind', '?')} {_params_of(cfg)} over {field!r}")
     for m in report.memberships:
         lines.append(f"witness {m['witness']} in symbolic power {m['r']}: {'yes' if m['member'] else 'NO'}")
     lines.append(f"method: {report.method}")
@@ -191,22 +191,9 @@ def _params_of(cfg):
     return " ".join(f"{k}={cfg[k]}" for k in keys)
 
 
-def _field_str(spec):
-    if not spec:
-        return "?"
-    kind = spec.get("kind")
-    if kind == "rational":
-        return "Q"
-    if kind == "cyclotomic":
-        return f"Q(zeta_{spec['n']})"
-    return f"F_{spec['p']}"
-
-
-def _emit_json(report, args):
-    if not args.json:
-        return
+def _write_json(report, path):
     payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(payload)
 
 
@@ -246,8 +233,9 @@ def run(argv=None) -> int:
         if args.command == "symbolic-power":
             return _run_symbolic_power(cfg, args)
         report = verify(cfg, seed=args.seed, cap=args.cap)
-        _print_report(report)
-        _emit_json(report, args)
+        _print_report(report, cfg.field)
+        if args.out:
+            _write_json(report, args.out)
         return EXIT_VERIFIED if report.verdict == VERDICT_VERIFIED else EXIT_NOT_ESTABLISHED
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,10 +109,6 @@ class GenericityExhaustedError(InputError):
     """No acceptable linear form was found within the draw budget."""
 
 
-class MembershipFailedError(InputError):
-    """A witness is not in the required symbolic power."""
-
-
 # --- parsing ----------------------------------------------------------------
 
 class PolynomialSyntaxError(InputError):

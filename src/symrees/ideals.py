@@ -32,7 +32,7 @@ INFINITE = math.inf
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced Groebner bases per order."""
+    """A finitely generated ideal with its cached reduced grevlex basis."""
 
     __slots__ = ("ring", "generators", "_gb")
 
@@ -47,18 +47,16 @@ class Ideal:
                 raise VariableMismatchError("generators over different rings")
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb = {}
+        self._gb = None
 
     @classmethod
     def unit(cls, ring):
         return cls([ring.one()], ring=ring)
 
-    def groebner(self, order=GREVLEX) -> GroebnerBasis:
-        gb = self._gb.get(order)
-        if gb is None:
-            gb = reduced_groebner_basis(self.generators, order)
-            self._gb[order] = gb
-        return gb
+    def groebner(self) -> GroebnerBasis:
+        if self._gb is None:
+            self._gb = reduced_groebner_basis(self.generators)
+        return self._gb
 
     def is_unit(self) -> bool:
         return self.groebner().is_unit()
@@ -109,8 +107,7 @@ class Ideal:
                 for p, lm in zip(gb.polynomials, gb.lead_monomials) if not lm[-1]]
         out = Ideal([p for p, _ in kept], ring=ring)
         if kept:
-            out._gb[GREVLEX] = GroebnerBasis(ring, GREVLEX, out.generators,
-                                             [lm for _, lm in kept])
+            out._gb = GroebnerBasis(ring, GREVLEX, out.generators, [lm for _, lm in kept])
         return out
 
     def power(self, r: int) -> "Ideal":
@@ -134,8 +131,8 @@ class Ideal:
         Only the grevlex leads are needed: those of a cached reduced basis,
         else the minimal leads of a completed basis without its tail
         interreduction."""
-        gb = self._gb.get(GREVLEX)
-        leads = gb.lead_monomials if gb is not None else lead_monomial_basis(self.generators)
+        gb = self._gb
+        leads = lead_monomial_basis(self.generators) if gb is None else gb.lead_monomials
         if not all(map(any, leads)):
             return -1
         nv = self.ring.nvars

@@ -39,6 +39,11 @@ below N' do not depend on N', so the starting point cannot change the
 confirmation's length or its ``stable_at``: it only decides how many runs
 it takes, one when its certificate degree is at most the first seed's.
 
+Each route starts at one gate, ``_gated_report``: it checks and times the
+memberships xi_i in I^(r_i), and a witness outside gives the route's
+not-established report with nothing else run.  ``verify`` computes no
+membership of its own.
+
 A verified criterion implies the symbolic Rees ring is finitely generated; a
 failed check proves nothing (the criterion is existential over witness pairs).
 """
@@ -54,7 +59,6 @@ from .errors import (
     GenericityExhaustedError,
     InputError,
     InvariantError,
-    MembershipFailedError,
     NotHomogeneousError,
 )
 from .groebner import lead_monomial_basis, standard_count
@@ -109,27 +113,12 @@ class VerificationReport:
         self.confirmation = None
 
     def to_json_dict(self):
-        lengths = None
+        out = dict(vars(self))
         if self.lengths is not None:
-            lengths = {
+            out["lengths"] = {
                 k: ("Infinite" if v == INFINITE else v) for k, v in self.lengths.items()
             }
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "field": self.field,
-            "memberships": self.memberships,
-            "method": self.method,
-            "height": self.height,
-            "product_check": self.product_check,
-            "lengths": lengths,
-            "u": self.u,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "timings_ms": self.timings_ms,
-            "notes": self.notes,
-            "confirmation": self.confirmation,
-        }
+        return out
 
 
 def _ms(t0):
@@ -405,26 +394,34 @@ def _eliminate_along(u: GenericLinearForm, polys):
     return out
 
 
-def check_homogeneous_condition(H: PointSet, witnesses,
-                                precomputed_memberships=None) -> VerificationReport:
+def _gated_report(H: PointSet, witnesses, method, seed, memberships=None):
+    """A route's report with the witnesses' memberships, and whether both hold.
+
+    The memberships are computed here, or taken as given, and timed.  The
+    criterion applies only to xi_i in the r_i-th symbolic power, so when a
+    witness is outside the report says so and stays not established, and
+    the route returns it as it is."""
+    report = VerificationReport(config=None, field=H.field.spec.to_json(), seed=seed)
+    report.method = method
+    t0 = time.monotonic()
+    report.memberships = memberships or membership_results(H, witnesses, witnesses.xi1.ring)
+    report.timings_ms["memberships"] = _ms(t0)
+    held = all(m["member"] for m in report.memberships)
+    if not held:
+        report.notes.append("a witness failed its symbolic-power membership")
+    return report, held
+
+
+def check_homogeneous_condition(H: PointSet, witnesses) -> VerificationReport:
     """Product-form criterion for a homogeneous witness pair, with e(S/I_H) = #H."""
     if not witnesses.both_homogeneous():
         raise NotHomogeneousError("both witnesses must be homogeneous for this check")
-    field = H.field
-    ring = base_ring(field)
-    report = VerificationReport(config=None, field=field.spec.to_json(), seed=None)
-    report.method = METHOD_HOMOGENEOUS
-    t0 = time.monotonic()
-    memberships = precomputed_memberships or membership_results(H, witnesses, ring)
-    report.memberships = memberships
-    report.timings_ms["memberships"] = _ms(t0)
-    if not all(m["member"] for m in memberships):
-        report.verdict = VERDICT_NOT_ESTABLISHED
-        report.notes.append("a witness is outside its symbolic power")
+    report, held = _gated_report(H, witnesses, METHOD_HOMOGENEOUS, None)
+    if not held:
         return report
 
     t0 = time.monotonic()
-    height = Ideal([witnesses.xi1, witnesses.xi2], ring=ring).height()
+    height = Ideal([witnesses.xi1, witnesses.xi2], ring=base_ring(H.field)).height()
     report.height = height
     report.timings_ms["height"] = _ms(t0)
 
@@ -455,18 +452,14 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
     A given ``u`` that vanishes at a point of H raises InputError.
     ``first``, when given, is the first truncation degree N' of the length's
     DS runs in place of the one picked from rhs; it never changes the
-    report (see ``local_length_at_origin``)."""
+    report (see ``local_length_at_origin``).  A witness outside its
+    symbolic power leaves the not-established report with no length and
+    nothing else run; ``precomputed_memberships`` are taken as the
+    memberships in place of computing them."""
     field = H.field
-    ring = base_ring(field)
-    report = VerificationReport(config=None, field=field.spec.to_json(), seed=seed)
-    report.method = METHOD_LENGTH
-
-    t0 = time.monotonic()
-    memberships = precomputed_memberships or membership_results(H, witnesses, ring)
-    report.memberships = memberships
-    report.timings_ms["memberships"] = _ms(t0)
-    if not all(m["member"] for m in memberships):
-        raise MembershipFailedError("witnesses are outside their symbolic powers")
+    report, held = _gated_report(H, witnesses, METHOD_LENGTH, seed, precomputed_memberships)
+    if not held:
+        return report
 
     t0 = time.monotonic()
     if u is None:
@@ -515,7 +508,10 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
 
     Routes homogeneous pairs through the product check, everything else
     through the length check, which is repeated with a second seed and must
-    agree.  The second seed's DS runs start at the first seed's
+    agree.  The memberships are checked and timed in the route, once: a
+    witness outside its symbolic power ends the run with the route's
+    not-established report, and the confirmation seed reuses the first
+    seed's memberships.  The second seed's DS runs start at the first seed's
     ``stable_at``: its own u gives an independent length, and since the
     counts below a truncation degree do not depend on it, the start changes
     neither that length nor its ``stable_at``.  When both seeds share the
@@ -528,33 +524,19 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     t_total = time.monotonic()
     H = config.points
     witnesses = config.witnesses
-    ring = config.ring
-    stages = {}
-    t0 = time.monotonic()
-    memberships = membership_results(H, witnesses, ring)
-    stages["memberships"] = _ms(t0)
-
-    if not all(m["member"] for m in memberships):
-        report = VerificationReport(config.provenance, config.field.spec.to_json(), seed)
-        report.memberships = memberships
-        report.method = METHOD_HOMOGENEOUS if witnesses.both_homogeneous() else METHOD_LENGTH
-        report.verdict = VERDICT_NOT_ESTABLISHED
-        report.notes.append("a witness failed its symbolic-power membership")
-        report.timings_ms.update(stages)
-        report.timings_ms["total"] = _ms(t_total)
-        return report
-
     if witnesses.both_homogeneous():
-        report = check_homogeneous_condition(H, witnesses,
-                                             precomputed_memberships=memberships)
+        report = check_homogeneous_condition(H, witnesses)
     else:
-        report = check_condition_by_length(H, witnesses, seed=seed, cap=cap,
-                                           precomputed_memberships=memberships)
+        report = check_condition_by_length(H, witnesses, seed=seed, cap=cap)
+    report.config = config.provenance
+    report.seed = seed
+    held = all(m["member"] for m in report.memberships)  # else the route's report as it is
+    if held and report.method == METHOD_LENGTH:
         t0 = time.monotonic()
         second = check_condition_by_length(H, witnesses, seed=seed + 1, cap=cap,
-                                           precomputed_memberships=memberships,
+                                           precomputed_memberships=report.memberships,
                                            first=report.lengths.get("stable_at"))
-        stages["confirmation"] = _ms(t0)
+        report.timings_ms["confirmation"] = _ms(t0)
         if second.verdict != report.verdict:
             raise InvariantError("verdicts disagree across seeds")
         if report.verdict == VERDICT_VERIFIED and second.lengths["lhs"] != report.lengths["lhs"]:
@@ -565,18 +547,14 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
             "lhs": "Infinite" if second.lengths["lhs"] == INFINITE else second.lengths["lhs"],
             "verdict": second.verdict,
         }
-    report.config = config.provenance
-    report.field = config.field.spec.to_json()
-    report.seed = seed
-    if config.field.characteristic:
-        report.notes.append("characteristic-p check")
-    if report.method == METHOD_LENGTH:
-        report.notes.append("length route restricted to validated general linear forms")
-    if report.verdict == VERDICT_VERIFIED:
-        report.notes.append("criterion verified: the symbolic Rees ring is finitely generated")
-    else:
-        report.notes.append("criterion not established by this witness pair (not a disproof)")
-    # the check functions only saw the precomputed stages; record where they ran
-    report.timings_ms.update(stages)
+    if held:
+        if config.field.characteristic:
+            report.notes.append("characteristic-p check")
+        if report.method == METHOD_LENGTH:
+            report.notes.append("length route restricted to validated general linear forms")
+        if report.verdict == VERDICT_VERIFIED:
+            report.notes.append("criterion verified: the symbolic Rees ring is finitely generated")
+        else:
+            report.notes.append("criterion not established by this witness pair (not a disproof)")
     report.timings_ms["total"] = _ms(t_total)
     return report

@@ -109,6 +109,15 @@ def test_fast_mode_flag(tmp_path):
     assert "characteristic-p check" in obj["notes"]
 
 
+def test_out_alone_writes_the_report(tmp_path, capsys):
+    alone, flagged = tmp_path / "alone.json", tmp_path / "flagged.json"
+    assert run(["verify-fermat", "--n", "3", "--out", str(alone)]) == EXIT_VERIFIED
+    assert "over Q(zeta_3)" in capsys.readouterr().out
+    assert run(["verify-fermat", "--n", "3", "--json", "--out", str(flagged)]) == EXIT_VERIFIED
+    assert _normalized(alone) == _normalized(flagged)
+    assert run(["verify-fermat", "--n", "3", "--json"]) == EXIT_INPUT_ERROR
+
+
 def test_small_field_seed_that_exhausts_its_draws(capsys):
     # seed 53 draws no valid line over F_13 in 32 tries, but 16 of the 183
     # lines avoid the 19 points; the enumeration finds one

@@ -18,7 +18,6 @@ from symrees.errors import (
     GenericityExhaustedError,
     InputError,
     InvariantError,
-    MembershipFailedError,
     NotHomogeneousError,
 )
 from symrees import verifier
@@ -45,6 +44,9 @@ from symrees.verifier import (
 Q = RationalField()
 R = base_ring(Q)
 x, y, z = R.var("x"), R.var("y"), R.var("z")
+
+
+NONMEMBER_NOTE = "a witness failed its symbolic-power membership"
 
 
 def P(*coords, field=Q):
@@ -433,6 +435,23 @@ def test_homogeneous_check_rejects_inhomogeneous():
         check_homogeneous_condition(cfg.points, cfg.witnesses)
 
 
+def test_homogeneous_check_membership_precondition(monkeypatch):
+    cfg = three_points(P(1, 0, 0), P(0, 1, 0), P(0, 0, 1))
+    bad = WitnessPair(cfg.witnesses.xi1, cfg.witnesses.r1, x, cfg.witnesses.r2)
+
+    def unreachable(self):
+        raise AssertionError("a height was computed for a non-member pair")
+
+    monkeypatch.setattr(Ideal, "height", unreachable)
+    rep = check_homogeneous_condition(cfg.points, bad)
+    assert rep.method == METHOD_HOMOGENEOUS
+    assert rep.verdict == VERDICT_NOT_ESTABLISHED
+    assert [m["member"] for m in rep.memberships] == [True, False]
+    assert rep.notes == [NONMEMBER_NOTE]
+    assert rep.height is None and rep.product_check is None
+    assert set(rep.timings_ms) == {"memberships"}
+
+
 def test_degenerate_pair_fails_on_height():
     cfg = fermat(3)
     w = cfg.witnesses
@@ -453,11 +472,21 @@ def test_length_check_grid22():
     assert rep.verdict == VERDICT_VERIFIED
 
 
-def test_length_check_membership_precondition():
+def test_length_check_membership_precondition(monkeypatch):
     cfg = grid_example(2, 2)
     bad = WitnessPair(x, 4, y, 2)
-    with pytest.raises(MembershipFailedError):
-        check_condition_by_length(cfg.points, bad)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a linear form was drawn for a non-member pair")
+
+    monkeypatch.setattr(verifier, "pick_generic_linear_form", unreachable)
+    rep = check_condition_by_length(cfg.points, bad)
+    assert rep.method == METHOD_LENGTH
+    assert rep.verdict == VERDICT_NOT_ESTABLISHED
+    assert [m["member"] for m in rep.memberships] == [False, False]
+    assert rep.notes == [NONMEMBER_NOTE]
+    assert rep.lengths is None and rep.u is None
+    assert set(rep.timings_ms) == {"memberships"}
 
 
 def test_length_check_agrees_with_homogeneous_route():
@@ -1003,6 +1032,45 @@ def test_verify_membership_failure_reported_not_raised():
     rep = verify(cfg)
     assert rep.verdict == VERDICT_NOT_ESTABLISHED
     assert not all(m["member"] for m in rep.memberships)
+
+
+def _nonmember_configuration(field, method):
+    """The triangle with xi2 = x (product route) or grid-2x2 with xi1 =
+    x*xi1 + y (length route): one witness outside its symbolic power."""
+    if method == METHOD_HOMOGENEOUS:
+        cfg = three_points(P(1, 0, 0, field=field), P(0, 1, 0, field=field),
+                           P(0, 0, 1, field=field))
+    else:
+        cfg = grid_example(2, 2, field=field)
+    w, ring = cfg.witnesses, cfg.ring
+    gx, gy = ring.var("x"), ring.var("y")
+    if method == METHOD_HOMOGENEOUS:
+        cfg.witnesses = WitnessPair(w.xi1, w.r1, gx, w.r2)
+    else:
+        cfg.witnesses = WitnessPair(gx * w.xi1 + gy, w.r1, w.xi2, w.r2)
+    return cfg
+
+
+@pytest.mark.parametrize("method, members",
+                         [(METHOD_HOMOGENEOUS, [True, False]), (METHOD_LENGTH, [False, True])])
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=repr)
+def test_verify_pins_the_report_of_a_nonmember_pair(field, method, members):
+    cfg = _nonmember_configuration(field, method)
+    rep = verify(cfg)
+    assert rep.verdict == VERDICT_NOT_ESTABLISHED
+    assert rep.method == method
+    assert rep.memberships == [
+        {"witness": 1, "r": cfg.witnesses.r1, "member": members[0]},
+        {"witness": 2, "r": cfg.witnesses.r2, "member": members[1]},
+    ]
+    assert rep.notes == [NONMEMBER_NOTE]
+    assert set(rep.timings_ms) == {"memberships", "total"}
+    assert rep.u is None and rep.confirmation is None
+    assert rep.lengths is None and rep.height is None and rep.product_check is None
+    assert rep.config == cfg.provenance and rep.seed == 0
+    assert set(rep.to_json_dict()) == {
+        "schema", "config", "field", "memberships", "method", "height", "product_check",
+        "lengths", "u", "seed", "verdict", "timings_ms", "notes", "confirmation"}
 
 
 def test_verify_fast_mode_banner():

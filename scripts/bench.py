@@ -26,7 +26,9 @@ left implicit, as the length route runs them), one at N' = KERNEL_TRUNCATION
 trajectory) and one at N' = KERNEL_FIRST_TRUNCATION (the first seed's one run
 now that its first N' is 76); one ``points_ideal`` of the same configuration
 (many small bases, where set-up cost per call shows), one ``symbolic_power_ideal`` of fermat-3 over
-Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients) and one
+Q(zeta_3) at r = 3 (eliminations with cyclotomic coefficients), the same at
+scale over Q(zeta_5): the ``points_ideal`` of fermat-5 and its
+``symbolic_power_ideal`` at r = 2, and one
 ``_eliminate_along`` of the fermat-4 witnesses over Q(zeta_4) with the seed-0
 linear form (the substitution that starts every length route), the same
 elimination on fermat-5 over F_31 (the length-prime workload's) and on
@@ -137,6 +139,7 @@ def kernel_calls(jobs):
     xi1, xi2 = _eliminate_along(u, [w.xi1, w.xi2])
     xv = xi1.ring.var(xi1.ring.variables[0])
     f3 = fermat(3)
+    f5 = jobs["fermat-5"]()
     f10 = jobs["fermat-10-f41"]()
     f4 = jobs["fermat-4"]()
     u4 = pick_generic_linear_form(f4.points, seed=0)
@@ -161,6 +164,8 @@ def kernel_calls(jobs):
             [xi1, xi2], order=DS, truncate_degree=KERNEL_FIRST_TRUNCATION - 1),
         "points_ideal_fermat-5-f31": lambda: points_ideal(cfg.points, cfg.ring),
         "symbolic_power_fermat-3-r3": lambda: symbolic_power_ideal(f3.points, 3, f3.ring),
+        "symbolic_power_fermat-5-r2": lambda: symbolic_power_ideal(f5.points, 2, f5.ring),
+        "points_ideal_fermat-5": lambda: points_ideal(f5.points, f5.ring),
         "eliminate_along_fermat-4": lambda: _eliminate_along(u4, [w4.xi1, w4.xi2]),
         "eliminate_along_fermat-5-f31": lambda: _eliminate_along(u, [w.xi1, w.xi2]),
         "eliminate_along_grid-3x7": lambda: _eliminate_along(u37, [w37.xi1, w37.xi2]),

@@ -115,6 +115,19 @@ def exit_code(exc):
     return 2 if isinstance(exc, InputError) else 4
 
 
+def summary_detail(report):
+    """The summary line's account of a report: its lengths, its product
+    equation, with ``!=`` when the product check fails, or a failed witness."""
+    if report.lengths:
+        lhs, rhs = report.lengths["lhs"], report.lengths["rhs"]
+        return f"lhs = rhs = {rhs}" if lhs == rhs else f"lhs = {lhs}, rhs = {rhs}"
+    if report.product_check:
+        pc = report.product_check
+        relation = "=" if pc["holds"] else "!="
+        return f"{pc['d1']}*{pc['d2']} {relation} {pc['r1']}*{pc['r2']}*{pc['e']}"
+    return "a witness not a member"
+
+
 def differing_keys(new, old, prefix=""):
     """Dotted paths at which two report dicts differ, ``timings_ms`` aside."""
     if not (isinstance(new, dict) and isinstance(old, dict)):
@@ -160,14 +173,7 @@ def main():
         elapsed = round(time.monotonic() - t0, 2)
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         path.write_text(text)
-        if report.lengths:
-            lhs, rhs = report.lengths["lhs"], report.lengths["rhs"]
-            detail = f"lhs = rhs = {rhs}" if lhs == rhs else f"lhs = {lhs}, rhs = {rhs}"
-        elif report.product_check:
-            pc = report.product_check
-            detail = f"{pc['d1']}*{pc['d2']} = {pc['r1']}*{pc['r2']}*{pc['e']}"
-        else:
-            detail = "a witness not a member"
+        detail = summary_detail(report)
         rows.append((name, report.method, report.verdict, detail, elapsed))
         print(f"{name:22s} {report.method:9s} {report.verdict:28s} {detail:22s} {elapsed:7.2f}s")
         if args.compare:

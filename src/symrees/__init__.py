@@ -30,10 +30,8 @@ from .points import (
 from .polynomials import (
     DS,
     GREVLEX,
-    LEX,
     BlockOrder,
     GrevlexOrder,
-    LexOrder,
     NegDegRevlexOrder,
     PolyRing,
     Polynomial,

@@ -11,13 +11,16 @@ a computation keeps has total degree at most ``MAX_DEGREE``; one that would
 go past it raises BudgetExceededError instead of wrapping a field.
 
 Coefficient growth over Q and Q(zeta_n) is tamed by rescaling every new basis
-element to integer content 1 with a rational-integer lead coefficient.  Over
-Q(zeta_n) that takes one more step: integer content cannot remove a unit or
-other algebraic-integer factor of the lead, which the cross-multiplication in
-``_reduce`` would otherwise carry into every later reduction, so the element
-is multiplied by the product of the lead's other conjugates, which takes the
-lead to its norm, a positive rational integer (``Field.rationalizing_factor``),
-before the content is stripped again.
+element to integer content 1 with a positive rational-integer lead
+coefficient.  Over Q(zeta_n) that takes one more step: integer content cannot
+remove a unit or other algebraic-integer factor of the lead, which the
+cross-multiplication in ``_reduce`` would otherwise carry into every later
+reduction, so the element is multiplied by the product of the lead's other
+conjugates, which takes the lead to its norm, a positive rational integer
+(``Field.rationalizing_factor``), before the content is stripped again.  A
+rational lead below zero is negated: a lead of -1 would make ``_reduce``
+multiply the remainder and the rest of the work list by -1 at every step
+against it, where a lead of 1 scales nothing.
 Prime-field runs make elements monic instead.
 
 One division loop, ``_reduce``, serves S-pair reduction, interreduction and
@@ -308,7 +311,7 @@ def normal_form(f, basis, order=GREVLEX):
 
 def _normalize_element(items, field):
     """Monic mod p; in characteristic 0 integral with content 1 and a
-    rational-integer lead coefficient."""
+    positive rational-integer lead coefficient."""
     if field.characteristic:
         lc = items[0][1]
         if lc != 1:
@@ -321,6 +324,9 @@ def _normalize_element(items, field):
     if scale is not None:
         mul = field.mul
         items = field.rescale_terms([(m, mul(c, scale)) for m, c in items])
+    if items[0][1] < field.zero:  # a Q(zeta_n) tuple compares on its rational coordinate
+        neg = field.neg
+        items = [(m, neg(c)) for m, c in items]
     return items
 
 
@@ -489,11 +495,17 @@ def reduced_groebner_basis(generators, order=GREVLEX):
     Buchberger's product and chain criteria.  Deterministic: the result is
     independent of generator permutation.
     """
-    ring, field, pk, basis = _completed_basis(generators, order, None)
-    minimal = _minimalize_basis(basis, pk)
+    ring, _, pk, basis = _completed_basis(generators, order, None)
+    return _interreduced_basis(ring, order, pk, _minimalize_basis(basis, pk))
 
-    # interreduce tails in one pass: no lead monomial changes, so a tail
-    # reduced against the leads stays reduced
+
+def _interreduced_basis(ring, order, pk, minimal):
+    """The reduced basis of the ideal the minimal elements span, when they
+    are a minimal Groebner basis of it: tails interreduced, monic, unpacked.
+
+    One pass: no lead monomial changes, so a tail reduced against the leads
+    stays reduced."""
+    field = ring.field
     for idx in range(len(minimal)):
         items = minimal[idx][2]
         others = minimal[:idx] + minimal[idx + 1:]

@@ -2,10 +2,15 @@
 Hilbert multiplicity.
 
 Everything runs through reduced Groebner bases.  Intersection is one
-elimination: a fresh variable s is adjoined, one reduced basis is computed
-under the block order that makes s dominate, and the elements free of s
-generate the answer (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-3.3 and 4.4).
+elimination: a fresh variable s is adjoined, I ∩ J = ((1 - s)I + sJ) ∩ k[x],
+one Groebner basis is completed under the block order that makes s
+dominate, and its minimal elements free of s generate the answer
+(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 3.3 and 4.4).  s
+multiplies the second operand, the new piece that ``intersect_all`` adds to
+its accumulator: the symbolic powers then need fewer scalar products than
+with s on the accumulator.  Only the
+kept elements are interreduced: no lead containing s divides a monomial free
+of s, so the elements that contain s would not reduce them.
 
 Colength and multiplicity are read off ``groebner.standard_count``, the one
 staircase count of standard monomials.  They serve no criterion route and no
@@ -25,7 +30,15 @@ from .errors import (
     VariableMismatchError,
     WrongDimensionError,
 )
-from .groebner import GroebnerBasis, lead_monomial_basis, reduced_groebner_basis, standard_count
+from .groebner import (
+    GroebnerBasis,
+    _completed_basis,
+    _interreduced_basis,
+    _minimalize_basis,
+    lead_monomial_basis,
+    reduced_groebner_basis,
+    standard_count,
+)
 from .polynomials import GREVLEX, BlockOrder, Polynomial
 
 INFINITE = math.inf
@@ -79,7 +92,7 @@ class Ideal:
     # -- constructions -----------------------------------------------------------
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """self ∩ other = (s*self + (1 - s)*other) ∩ k[x]."""
+        """self ∩ other = ((1 - s)*self + s*other) ∩ k[x]."""
         if self.ring != other.ring:
             raise VariableMismatchError("intersection over different rings")
         if self.is_unit():
@@ -87,27 +100,30 @@ class Ideal:
         if other.is_unit():
             return self
         return self._eliminate(
-            lambda ext, s: [g.lift(ext) * s for g in self.generators]
-            + [g.lift(ext) * (ext.one() - s) for g in other.generators])
+            lambda ext, s: [g.lift(ext) * (ext.one() - s) for g in self.generators]
+            + [g.lift(ext) * s for g in other.generators])
 
     def _eliminate(self, build) -> "Ideal":
         """The ideal of this ring cut out of the ideal ``build(ext, s)`` spans
-        in ext = ring[s], s a fresh variable: the elements of its BlockOrder(1)
-        reduced basis that are free of s.
+        in ext = ring[s], s a fresh variable: the elements of a minimal
+        BlockOrder(1) Groebner basis that are free of s, interreduced.
 
-        s dominates, so an element is free of s exactly when its lead is.  On
-        monomials free of s the block order is grevlex, so the kept elements,
-        monic, interreduced and in ascending lead order, are the reduced
-        grevlex basis of the result, and the result carries it."""
+        s dominates, so an element is free of s exactly when its lead is, and
+        no lead containing s divides a monomial free of s: interreducing the
+        kept elements alone gives the s-free part of the reduced basis.  On
+        monomials free of s the block order is grevlex, so they are the
+        reduced grevlex basis of the result, and the result carries it."""
         ring = self.ring
         name = ring.fresh_variable_name("s")
         ext = ring.extend(name)
-        gb = reduced_groebner_basis(build(ext, ext.var(name)), BlockOrder(1))
-        kept = [(p.restrict(ring), lm[:-1])
-                for p, lm in zip(gb.polynomials, gb.lead_monomials) if not lm[-1]]
-        out = Ideal([p for p, _ in kept], ring=ring)
+        order = BlockOrder(1)
+        _, _, pk, basis = _completed_basis(build(ext, ext.var(name)), order, None)
+        kept = [b for b in _minimalize_basis(basis, pk) if not pk.unpack(b[0])[-1]]
+        gb = _interreduced_basis(ext, order, pk, kept)
+        out = Ideal([p.restrict(ring) for p in gb], ring=ring)
         if kept:
-            out._gb = GroebnerBasis(ring, GREVLEX, out.generators, [lm for _, lm in kept])
+            out._gb = GroebnerBasis(ring, GREVLEX, out.generators,
+                                    [lm[:-1] for lm in gb.lead_monomials])
         return out
 
     def power(self, r: int) -> "Ideal":

@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials over an exact field, plus monomial orders.
 
-Monomials are bare exponent tuples over the ring's variable list; the helper
-functions below operate on those tuples directly.  Polynomials are immutable
-by convention: ``terms`` maps exponent tuples to nonzero scalars and is never
-mutated after construction.
+Monomials are bare exponent tuples over the ring's variable list.
+Polynomials are immutable by convention: ``terms`` maps exponent tuples to
+nonzero scalars and is never mutated after construction.
 """
 
 from __future__ import annotations
@@ -18,16 +17,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-# --- monomial helpers ---------------------------------------------------------
-
-def mono_divides(a, b):
-    """True when a divides b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 # --- monomial orders -----------------------------------------------------------
 
 class MonomialOrder:
@@ -38,7 +27,7 @@ class MonomialOrder:
     ``key`` is that tuple of dot products, and the Groebner engine packs the
     same rows into its integer monomials, so the order is defined once.
 
-    Global orders (grevlex, lex, block) are well-orders with 1 minimal.  A
+    Global orders (grevlex, block) are well-orders with 1 minimal.  A
     local order (``is_local``, here only DS) has 1 maximal: it is a well-order
     only on the finitely many monomials below a degree bound, so Groebner
     computations accept it only together with ``truncate_degree``, and
@@ -93,16 +82,6 @@ class GrevlexOrder(MonomialOrder):
         return _graded_rows(nvars, 1)
 
 
-class LexOrder(MonomialOrder):
-    """Pure lexicographic on the variable list, ignoring total degree.
-    Rows: e_1, ..., e_n."""
-
-    kind = "lex"
-
-    def weights(self, nvars):
-        return tuple(_unit_row(nvars, i) for i in range(nvars))
-
-
 class BlockOrder(MonomialOrder):
     """Elimination order: the trailing ``n_elim`` variables dominate.
 
@@ -148,7 +127,6 @@ class NegDegRevlexOrder(MonomialOrder):
 
 
 GREVLEX = GrevlexOrder()
-LEX = LexOrder()
 DS = NegDegRevlexOrder()
 
 
@@ -189,15 +167,6 @@ class PolyRing:
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {expo: self.field.one})
 
-    def monomial(self, expo, coeff=None):
-        expo = tuple(expo)
-        if len(expo) != self.nvars or any(e < 0 for e in expo):
-            raise InputError(f"bad exponent tuple {expo} for {self.variables}")
-        c = self.field.one if coeff is None else coeff
-        if self.field.is_zero(c):
-            return self.zero()
-        return Polynomial(self, {expo: c})
-
     def extend(self, *names):
         return PolyRing(self.field, self.variables + tuple(names))
 
@@ -229,21 +198,6 @@ class Polynomial:
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-
-    @classmethod
-    def from_dict(cls, ring, mapping):
-        """Build from a possibly non-canonical exponent->scalar mapping."""
-        field = ring.field
-        terms = {}
-        for m, c in mapping.items():
-            m = tuple(m)
-            if len(m) != ring.nvars:
-                raise VariableMismatchError(f"exponent width {len(m)} != {ring.nvars}")
-            if not field.is_zero(c):
-                terms[m] = field.add(terms[m], c) if m in terms else c
-                if field.is_zero(terms[m]):
-                    del terms[m]
-        return cls(ring, terms)
 
     # -- predicates ------------------------------------------------------------
 
@@ -375,13 +329,6 @@ class Polynomial:
     def sorted_terms(self, order=GREVLEX):
         key = order.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def lead_term(self, order=GREVLEX):
-        if not self.terms:
-            raise ZeroPolynomialError("the zero polynomial has no lead term")
-        key = order.key
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
 
     def evaluate(self, values):
         """Evaluate at a full scalar tuple, one value per ring variable."""

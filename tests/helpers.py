@@ -1,5 +1,10 @@
 """Reference routines that only the tests use.
 
+The lex order, monomial divisibility on exponent tuples, a polynomial from a
+non-canonical mapping, a single monomial and a lead term by the order's key
+build test inputs and state expectations; the library itself needs none of
+them.
+
 The S-polynomial, a three-way order comparison, a standard-monomial count by
 scanning every monomial, the grevlex truncated colength, the DS leads of a
 truncated span by Gaussian elimination and the elimination along u by
@@ -16,10 +21,63 @@ replaced by comparing a colength with the Bezout bound.
 
 from math import comb
 
-from symrees.errors import VariableMismatchError, ZeroPolynomialError
+from symrees.errors import InputError, VariableMismatchError, ZeroPolynomialError
 from symrees.groebner import lead_monomial_basis
 from symrees.ideals import Ideal
-from symrees.polynomials import DS, GREVLEX, PolyRing, mono_divides
+from symrees.polynomials import DS, GREVLEX, MonomialOrder, PolyRing, Polynomial
+
+
+class LexOrder(MonomialOrder):
+    """Pure lexicographic on the variable list, ignoring total degree.
+    Rows: e_1, ..., e_n."""
+
+    kind = "lex"
+
+    def weights(self, nvars):
+        return tuple(tuple(int(j == i) for j in range(nvars)) for i in range(nvars))
+
+
+LEX = LexOrder()
+
+
+def mono_divides(a, b):
+    """True when a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def from_dict(ring, mapping):
+    """The polynomial of a possibly non-canonical exponent->scalar mapping:
+    repeated exponents summed, zero scalars dropped."""
+    field = ring.field
+    terms = {}
+    for m, c in mapping.items():
+        m = tuple(m)
+        if len(m) != ring.nvars:
+            raise VariableMismatchError(f"exponent width {len(m)} != {ring.nvars}")
+        if not field.is_zero(c):
+            terms[m] = field.add(terms[m], c) if m in terms else c
+            if field.is_zero(terms[m]):
+                del terms[m]
+    return Polynomial(ring, terms)
+
+
+def monomial(ring, expo, coeff=None):
+    """coeff * x^expo in the ring, the coefficient one by default."""
+    expo = tuple(expo)
+    if len(expo) != ring.nvars or any(e < 0 for e in expo):
+        raise InputError(f"bad exponent tuple {expo} for {ring.variables}")
+    c = ring.field.one if coeff is None else coeff
+    if ring.field.is_zero(c):
+        return ring.zero()
+    return Polynomial(ring, {expo: c})
+
+
+def lead_term(f, order=GREVLEX):
+    """(lead monomial, lead coefficient) of a nonzero polynomial."""
+    if not f.terms:
+        raise ZeroPolynomialError("the zero polynomial has no lead term")
+    m = max(f.terms, key=order.key)
+    return m, f.terms[m]
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -30,11 +88,11 @@ def s_polynomial(f, g, order=GREVLEX):
         raise VariableMismatchError("S-polynomial operands over different rings")
     ring = f.ring
     field = ring.field
-    lmf, lcf = f.lead_term(order)
-    lmg, lcg = g.lead_term(order)
+    lmf, lcf = lead_term(f, order)
+    lmg, lcg = lead_term(g, order)
     l = tuple(map(max, lmf, lmg))
-    mf = ring.monomial(tuple(a - b for a, b in zip(l, lmf)), field.inv(lcf))
-    mg = ring.monomial(tuple(a - b for a, b in zip(l, lmg)), field.inv(lcg))
+    mf = monomial(ring, tuple(a - b for a, b in zip(l, lmf)), field.inv(lcf))
+    mg = monomial(ring, tuple(a - b for a, b in zip(l, lmg)), field.inv(lcg))
     return mf * f - mg * g
 
 
@@ -67,7 +125,7 @@ def standard_count_by_scan(leads, nvars, d):
 
 def with_truncation_monomials(gens, ring, n):
     """The generators of J followed by every monomial of degree n: J + m^n."""
-    return list(gens) + [ring.monomial(e) for e in exponents_of_degree(ring.nvars, n)]
+    return list(gens) + [monomial(ring, e) for e in exponents_of_degree(ring.nvars, n)]
 
 
 def truncated_colength(gens, ring, n):
@@ -131,7 +189,7 @@ def eliminate_by_quotient(coeffs, polys):
     for p in polys:
         image = plane.zero()
         for m, c in p.terms.items():
-            image = image + plane.monomial([m[i] for i in rest], c) * expr**m[pivot]
+            image = image + monomial(plane, [m[i] for i in rest], c) * expr**m[pivot]
         images.append(image)
     return images
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import compare, s_polynomial
+from helpers import LEX, compare, from_dict, s_polynomial
 from symrees.cli import EXIT_NOT_ESTABLISHED, run
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
 from symrees.errors import GenericityExhaustedError
@@ -25,7 +25,7 @@ from symrees.points import (
     points_ideal,
     symbolic_power_membership,
 )
-from symrees.polynomials import GREVLEX, LEX, BlockOrder, PolyRing, Polynomial
+from symrees.polynomials import GREVLEX, BlockOrder, PolyRing
 from symrees.verifier import (
     METHOD_HOMOGENEOUS,
     METHOD_LENGTH,
@@ -455,4 +455,4 @@ def _random_poly(ring, rng, max_terms=3, max_exp=3):
         else:
             c = ring.field.from_int(rng.randint(-6, 6))
         terms[m] = c
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)

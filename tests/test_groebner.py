@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LEX,
     compare,
+    from_dict,
+    lead_term,
     local_leads_by_elimination,
+    mono_divides,
     reference_key,
     s_polynomial,
     with_truncation_monomials,
@@ -23,7 +27,7 @@ from symrees.groebner import (
     normal_form,
     reduced_groebner_basis,
 )
-from symrees.polynomials import DS, GREVLEX, LEX, BlockOrder, PolyRing, Polynomial, mono_divides
+from symrees.polynomials import DS, GREVLEX, BlockOrder, PolyRing
 
 Q = RationalField()
 R = PolyRing(Q)
@@ -121,7 +125,7 @@ def _random_polys(ring, rnd, count=3, max_terms=3, max_exp=3, constant=True):
             m = tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
             if constant or any(m):
                 terms[m] = _random_scalar(ring.field, rnd)
-        p = Polynomial.from_dict(ring, terms)
+        p = from_dict(ring, terms)
         if not p.is_zero():
             out.append(p)
     return out
@@ -172,7 +176,7 @@ def test_division_round_trip(rnd):
         # f - rem is a combination of the divisors: it lies in their ideal
         assert normal_form(f - rem, reduced_groebner_basis(polys)).is_zero()
         # no remainder term is divisible by any lead monomial
-        leads = [p.lead_term(GREVLEX)[0] for p in polys]
+        leads = [lead_term(p, GREVLEX)[0] for p in polys]
         for m in rem.terms:
             assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
 
@@ -250,6 +254,30 @@ def test_symbolic_power_basis_coefficients_stay_small(monkeypatch):
     monkeypatch.setattr(groebner, "_normalize_element", checked)
     symbolic_power_ideal(cfg.points, 3, cfg.ring)
     assert widest and max(widest) < 64
+
+
+@pytest.mark.parametrize("make, r", [("fermat-3", 3), ("grid-2x2", 2)])
+def test_char0_leads_are_positive_rational_integers(monkeypatch, make, r):
+    # over Q(zeta_3) and over Q: a lead of -1 would scale every reduction by -1
+    from symrees.configs import fermat, grid_example
+    from symrees.points import symbolic_power_ideal
+
+    cfg = fermat(3) if make == "fermat-3" else grid_example(2, 2)
+    normalize = groebner._normalize_element
+    leads = []
+
+    def checked(items, field):
+        out = normalize(items, field)
+        leads.append(out[0][1])
+        return out
+
+    monkeypatch.setattr(groebner, "_normalize_element", checked)
+    symbolic_power_ideal(cfg.points, r, cfg.ring)
+    assert leads
+    if make == "fermat-3":
+        assert all(lc[0] > 0 and not any(lc[1:]) for lc in leads)
+    else:
+        assert all(type(lc) is int and lc > 0 for lc in leads)
 
 
 # --- truncated local-order runs ------------------------------------------------------

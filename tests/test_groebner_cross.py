@@ -12,9 +12,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from helpers import from_dict, lead_term
 from symrees.fields import RationalField
 from symrees.groebner import reduced_groebner_basis
-from symrees.polynomials import GREVLEX, PolyRing, Polynomial
+from symrees.polynomials import GREVLEX, PolyRing
 
 Q = RationalField()
 R = PolyRing(Q)
@@ -37,11 +38,11 @@ def _from_sympy(expr):
     for mono, coeff in poly.terms():
         q = Fraction(coeff.p, coeff.q)
         terms[tuple(int(e) for e in mono)] = Q.from_fraction(q)
-    return Polynomial.from_dict(R, terms)
+    return from_dict(R, terms)
 
 
 def _monic(p):
-    _, lc = p.lead_term(GREVLEX)
+    _, lc = lead_term(p, GREVLEX)
     return p.scale(Q.inv(lc))
 
 
@@ -59,7 +60,7 @@ def test_reduced_bases_agree_with_sympy_on_random_ideals():
             for _ in range(rnd.randint(1, 3)):
                 m = tuple(rnd.randint(0, 3) for _ in range(3))
                 terms[m] = Q.from_int(rnd.randint(-5, 5))
-            p = Polynomial.from_dict(R, terms)
+            p = from_dict(R, terms)
             if not p.is_zero():
                 gens.append(p)
         if not gens:

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import saturation
+from helpers import from_dict, saturation
 from symrees.errors import NotHomogeneousError, WrongDimensionError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.groebner import normal_form, reduced_groebner_basis
 from symrees.ideals import INFINITE, Ideal, intersect_all
-from symrees.polynomials import PolyRing, Polynomial
+from symrees.polynomials import BlockOrder, PolyRing
 
 Q = RationalField()
 R = PolyRing(Q)
@@ -72,7 +72,7 @@ def _random_form(ring, rnd, degree, lead):
         i = rnd.randint(0, degree)
         j = rnd.randint(0, degree - i)
         terms.setdefault((i, j, degree - i - j), field.from_int(rnd.randint(-5, 5)))
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +202,7 @@ def _random_ideal(ring, rnd, count=2, irrational=False):
             if irrational:
                 c = field.add(c, field.mul(field.from_int(rnd.randint(-2, 2)), field.generator()))
             terms[m] = c
-        p = Polynomial.from_dict(ring, terms)
+        p = from_dict(ring, terms)
         if not p.is_zero():
             gens.append(p)
     return _Ideal(gens, ring=ring) if gens else None
@@ -254,6 +254,75 @@ def test_elimination_carries_its_grevlex_basis(rnd, field, saturate):
     fresh = reduced_groebner_basis(K.generators)
     assert seeded.polynomials == fresh.polynomials
     assert seeded.lead_monomials == fresh.lead_monomials
+
+
+def _random_scalar(field, rnd):
+    """A small integer, plus a multiple of the distinguished root of unity
+    over Q(zeta_n)."""
+    c = field.from_int(rnd.randint(-3, 3))
+    if isinstance(field, CyclotomicField):
+        c = field.add(c, field.mul(field.from_int(rnd.randint(-2, 2)), field.generator()))
+    return c
+
+
+def _line_through(ring, rnd, point):
+    """A random linear form vanishing at the point: point x r, r random."""
+    field = ring.field
+    sub, mul = field.sub, field.mul
+    while True:
+        r = [_random_scalar(field, rnd) for _ in range(3)]
+        coeffs = [sub(mul(point[(i + 1) % 3], r[(i + 2) % 3]), mul(point[(i + 2) % 3], r[(i + 1) % 3]))
+                  for i in range(3)]
+        if not all(map(field.is_zero, coeffs)):
+            break
+    form = ring.zero()
+    for v, c in zip(ring.variables, coeffs):
+        form = form + ring.var(v).scale(c)
+    return form
+
+
+def _random_point_product(ring, rnd):
+    """The product of the ideals of one or two random points of P^2, each
+    spanned by two random lines through it: a homogeneous ideal."""
+    field = ring.field
+    ideal = Ideal.unit(ring)
+    for _ in range(rnd.randint(1, 2)):
+        point = [field.zero] * 3
+        while all(map(field.is_zero, point)):
+            point = [_random_scalar(field, rnd) for _ in range(3)]
+        lines = [_line_through(ring, rnd, point) for _ in range(2)]
+        ideal = Ideal([g * l for g in ideal.generators for l in lines], ring=ring)
+    return ideal
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=True), st.sampled_from([PrimeField(13), CyclotomicField(3)]))
+def test_intersection_is_symmetric_on_point_ideals(rnd, field):
+    # s sits on the second operand, so the two orders run different eliminations
+    ring = PolyRing(field, ("x", "y", "z"))
+    I = _random_point_product(ring, rnd)
+    J = _random_point_product(ring, rnd)
+    assert I.intersect(J).groebner().polynomials == J.intersect(I).groebner().polynomials
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=True), st.sampled_from([PrimeField(13), CyclotomicField(3)]))
+def test_elimination_keeps_the_s_free_part_of_the_full_reduced_basis(rnd, field):
+    # _eliminate interreduces only the elements free of s; the oracle
+    # interreduces the whole BlockOrder(1) basis and then drops the rest
+    ring = PolyRing(field, ("x", "y", "z"))
+    I = _random_point_product(ring, rnd)
+    J = _random_point_product(ring, rnd)
+    ext = ring.extend("s")
+    s = ext.var("s")
+    full = reduced_groebner_basis(
+        [g.lift(ext) * (ext.one() - s) for g in I.generators]
+        + [g.lift(ext) * s for g in J.generators], BlockOrder(1))
+    kept = [(p.restrict(ring), lm[:-1])
+            for p, lm in zip(full.polynomials, full.lead_monomials) if not lm[-1]]
+    gb = I.intersect(J).groebner()
+    assert list(gb.polynomials) == [p for p, _ in kept]
+    assert list(gb.lead_monomials) == [lm for _, lm in kept]
 
 
 @settings(max_examples=15)

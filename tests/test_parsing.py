@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import from_dict
 from symrees.errors import PolynomialSyntaxError, UnknownSymbolError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.parsing import parse_polynomial, parse_scalar
 from symrees.points import base_ring
-from symrees.polynomials import Polynomial
 
 Q = RationalField()
 R = base_ring(Q)
@@ -74,7 +74,7 @@ def _random_poly(ring, rnd, max_terms=5):
         else:
             c = ring.field.from_int(rnd.randint(-9, 9))
         terms[m] = c
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)
 
 
 @settings(max_examples=60)

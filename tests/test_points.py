@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import in_point_power_by_shift
+from helpers import from_dict, in_point_power_by_shift
 from symrees.errors import BudgetExceededError, DuplicatePointsError, InputError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
 from symrees.groebner import normal_form
@@ -244,7 +244,7 @@ def _random_poly(ring, rnd, max_deg):
         i = rnd.randint(0, d)
         j = rnd.randint(0, d - i)
         terms[(i, j, d - i - j)] = _scalar(ring.field, rnd)
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)
 
 
 def _through(point, ring, rnd):
@@ -300,7 +300,7 @@ def _homogeneous(ring, rnd, d):
         i = rnd.randint(0, d)
         j = rnd.randint(0, d - i)
         terms[(i, j, d - i - j)] = ring.field.from_int(rnd.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)
 
 
 @settings(max_examples=80, deadline=None)

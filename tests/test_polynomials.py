@@ -8,10 +8,9 @@ from symrees.errors import (
     ZeroPolynomialError,
 )
 from symrees.fields import CyclotomicField, PrimeField, RationalField
-from helpers import compare
+from helpers import LEX, compare, from_dict
 from symrees.polynomials import (
     GREVLEX,
-    LEX,
     BlockOrder,
     PolyRing,
 )
@@ -128,7 +127,7 @@ def _random_poly(ring, rnd, max_terms=5, max_exp=4):
         terms[m] = ring.field.from_int(rnd.randint(-6, 6))
     from symrees.polynomials import Polynomial
 
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)
 
 
 @given(st.randoms(use_true_random=False))
@@ -160,4 +159,4 @@ def _homogeneous(ring, rnd, d):
         a = rnd.randint(0, d)
         b = rnd.randint(0, d - a)
         terms[(a, b, d - a - b)] = ring.field.from_int(rnd.randint(1, 5))
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)

@@ -1,0 +1,25 @@
+"""The summary lines of ``scripts/run_verifications.py``."""
+
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
+
+from run_verifications import _rewitnessed, build_jobs, summary_detail
+
+from symrees.configs import WitnessPair
+from symrees.verifier import VERDICT_NOT_ESTABLISHED, VERDICT_VERIFIED, verify
+
+
+def test_product_detail_is_an_equation_when_the_check_holds():
+    report = verify(dict(build_jobs(True))["fermat-3"](), seed=0)
+    assert report.verdict == VERDICT_VERIFIED and report.product_check["holds"]
+    assert summary_detail(report) == "9*8 = 3*2*12"
+
+
+def test_product_detail_says_unequal_when_the_check_fails():
+    make = _rewitnessed(dict(build_jobs(True))["fermat-3"],
+                        lambda w, x, y: WitnessPair(w.xi1, w.r1, w.xi1, w.r1))
+    report = verify(make(), seed=0)
+    assert report.verdict == VERDICT_NOT_ESTABLISHED and not report.product_check["holds"]
+    assert summary_detail(report) == "9*9 != 3*3*12"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     eliminate_by_quotient,
+    from_dict,
     meets_positive_dimension,
     saturation,
     standard_count_by_scan,
@@ -604,7 +605,7 @@ def _random_poly(ring, rnd, max_terms=4, max_deg=3, constant=True):
         d = rnd.randint(0 if constant else 1, max_deg)
         i = rnd.randint(0, d)
         terms[(i, d - i)] = _random_scalar(ring.field, rnd)
-    return Polynomial.from_dict(ring, terms)
+    return from_dict(ring, terms)
 
 
 @settings(max_examples=40)
@@ -706,7 +707,7 @@ def test_elimination_along_u_matches_the_quotient_formula(rnd, field):
     for _ in range(2):
         terms = {tuple(rnd.randint(0, 3) for _ in range(3)): _random_scalar(field, rnd)
                  for _ in range(rnd.randint(0, 4))}
-        polys.append(Polynomial.from_dict(ring, terms))
+        polys.append(from_dict(ring, terms))
     u = GenericLinearForm(None, coeffs, 0, 0)
     images = _eliminate_along(u, polys)
     if field.characteristic == 0:

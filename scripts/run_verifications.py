@@ -33,8 +33,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from symrees.cli import exit_code
 from symrees.configs import WitnessPair, fermat, grid_example, three_points
-from symrees.errors import InputError, ResourceLimitError, SymreesError
+from symrees.errors import SymreesError
 from symrees.fields import PrimeField, RationalField
 from symrees.points import ProjectivePoint
 from symrees.verifier import verify
@@ -106,13 +107,6 @@ def scale_jobs():
         ("fermat-13-f131", lambda: fermat(13, field=PrimeField(131, root_order=13))),
         ("fermat-16-f257", lambda: fermat(16, field=PrimeField(257, root_order=16))),
     ]
-
-
-def exit_code(exc):
-    """The CLI's exit code for a package error."""
-    if isinstance(exc, ResourceLimitError):
-        return 3
-    return 2 if isinstance(exc, InputError) else 4
 
 
 def summary_detail(report):

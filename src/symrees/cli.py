@@ -237,19 +237,25 @@ def run(argv=None) -> int:
         if args.out:
             _write_json(report, args.out)
         return EXIT_VERIFIED if report.verdict == VERDICT_VERIFIED else EXIT_NOT_ESTABLISHED
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except Exception as exc:  # InvariantError, or any other failure of the program itself
+    except Exception as exc:
+        code = exit_code(exc)
+        if code != EXIT_INTERNAL:
+            print(f"error: {exc}", file=sys.stderr)
+            return code
         tb = exc.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next
         print(f"internal error, this is a bug in symrees: {type(exc).__name__}: {exc}"
               f" (at {tb.tb_frame.f_code.co_filename}:{tb.tb_lineno})", file=sys.stderr)
-        return EXIT_INTERNAL
+        return code
+
+
+def exit_code(exc: Exception) -> int:
+    """3 for a budget that ran out, 2 for bad input or an unreadable file,
+    4 for an InvariantError or any other failure of the program itself."""
+    if isinstance(exc, ResourceLimitError):
+        return EXIT_RESOURCE
+    return EXIT_INPUT_ERROR if isinstance(exc, (InputError, OSError)) else EXIT_INTERNAL
 
 
 def _config_json(cfg: Configuration):

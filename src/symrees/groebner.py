@@ -50,8 +50,8 @@ no term left.  Its leads and m^(N+1) span the initial ideal of J + m^(N+1), J
 the generators' ideal; a J inside m^(N+1) leaves no lead.  The run also ends
 at its first covered degree: under DS no term of a pair's S-polynomial or of
 its reduction has degree below the pair's lcm, so once the leads cover every
-monomial of degree c, no pair of lcm degree >= c can add a lead.  No such pair
-is queued (c <= N + 1), and the run stops when the heap's least lcm degree is
+monomial of degree c, no pair of lcm degree >= c can add a lead.  No pair past
+N + 1 is queued, and the run stops when the heap's least lcm degree is
 covered; the minimal leads are those of the full run.  ``standard_count``, the
 staircase count of standard monomials of one degree, decides coverage here,
 gives the colengths in ``verifier``, and gives the colength and the Hilbert
@@ -363,10 +363,9 @@ def _completed_basis(generators, order, cap):
     step after it, has degree at least that of the pair's lcm, since a lead
     is among the lowest-degree terms.  So once the leads cover every monomial
     of some degree c, every pair of lcm degree >= c reduces to zero.  No
-    pair of lcm degree >= c is queued, with c the first degree the
-    generators' leads cover, or cap + 1, past which every term drops.  Pairs
-    pop in non-decreasing lcm degree, so the run ends as soon as the leads
-    cover the degree of the heap's minimum: every pair left reduces to zero.
+    pair of lcm degree past the cap is queued: every term there drops.  Pairs
+    pop in non-decreasing lcm degree, so the run ends as soon as the leads,
+    the generators' own or later ones, cover the degree of the heap's minimum.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -399,15 +398,8 @@ def _completed_basis(generators, order, cap):
     pack, unpack, zero = pk.pack, pk.unpack, pk.zero
     guard, deg = pk.guard, pk.deg_mask
     nvars, shift = ring.nvars, ring.nvars * EXP_BITS
-    cut = deg + 1    # degree field of c: no pair of lcm degree >= c is queued
-    if local:
-        leads = [unpack(items[0][0]) for items in deduped]
-        c = cap + 1
-        # x_i^c is covered only by a pure power of x_i: without one for
-        # every variable no degree is covered, and the scan is skipped
-        if all(any(lm[i] == sum(lm) for lm in leads) for i in range(nvars)):
-            c = next((d for d in range(c) if not standard_count(leads, nvars, d)), c)
-        cut = c << shift
+    # degree field of cap + 1: past it every term drops, so no pair is queued
+    cut = (cap + 1) << shift if local else deg + 1
 
     def add_element(items):
         lm = items[0][0]

@@ -92,13 +92,9 @@ class Ideal:
     # -- constructions -----------------------------------------------------------
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """self ∩ other = ((1 - s)*self + s*other) ∩ k[x]."""
+        """self ∩ other = ((1 - s)*self + s*other) ∩ k[x], (1) included."""
         if self.ring != other.ring:
             raise VariableMismatchError("intersection over different rings")
-        if self.is_unit():
-            return other
-        if other.is_unit():
-            return self
         return self._eliminate(
             lambda ext, s: [g.lift(ext) * (ext.one() - s) for g in self.generators]
             + [g.lift(ext) * s for g in other.generators])

@@ -2,8 +2,9 @@
 
 Points are homogeneous coordinate triples normalized so the last nonzero
 coordinate is 1, matching the (a : b : 1) shape of the grid constructions.
-The defining ideal of a point comes from the 2x2 minors of the coordinate
-matrix and always reduces to two independent linear forms.
+The defining ideal of a point is written down as its reduced grevlex basis:
+with x_c the variable of that coordinate, the two forms x_i - P_i*x_c for
+i != c, where P_i = 0 past c.
 
 Symbolic power membership is checked point by point by order of vanishing,
 with no Groebner basis.  Let c be the coordinate of P normalized to 1 and
@@ -105,11 +106,13 @@ def base_ring(field) -> PolyRing:
 
 
 def defining_ideal(point: ProjectivePoint, ring: PolyRing) -> Ideal:
-    """Ideal of the point, generated by the 2x2 minors b*x-a*y, c*x-a*z, c*y-b*z."""
-    a, b, c = point.coords
-    x, y, z = (ring.var(v) for v in ("x", "y", "z"))
-    gens = [x.scale(b) - y.scale(a), x.scale(c) - z.scale(a), y.scale(c) - z.scale(b)]
-    return Ideal([g for g in gens if not g.is_zero()], ring=ring)
+    """Ideal of the point, generated by its reduced grevlex basis x_i - P_i*x_c,
+    i != c, with x_c the last variable whose coordinate is nonzero (so 1):
+    monic forms whose leads are the other variables, with tails in x_c."""
+    coords = point.coords
+    c = max(i for i in range(3) if not point.field.is_zero(coords[i]))
+    x = [ring.var(v) for v in ("x", "y", "z")]
+    return Ideal([x[i] - x[c].scale(coords[i]) for i in range(3) if i != c], ring=ring)
 
 
 def points_ideal(H: PointSet, ring: PolyRing) -> Ideal:
@@ -129,8 +132,7 @@ class PointPowerCache:
         key = (point, r)
         gb = self._bases.get(key)
         if gb is None:
-            lin = defining_ideal(point, self.ring).groebner().polynomials
-            gb = Ideal(list(lin), ring=self.ring).power(r).groebner()
+            gb = defining_ideal(point, self.ring).power(r).groebner()
             self._bases[key] = gb
         return gb
 
@@ -249,8 +251,4 @@ def symbolic_power_ideal(H: PointSet, r: int, ring: PolyRing, budget: int = 64) 
         raise BudgetExceededError(
             f"#H * r = {len(H) * r} exceeds the budget of {budget}"
         )
-    pieces = []
-    for P in H:
-        lin = defining_ideal(P, ring).groebner().polynomials
-        pieces.append(Ideal(list(lin), ring=ring).power(r))
-    return intersect_all(pieces)
+    return intersect_all(defining_ideal(P, ring).power(r) for P in H)

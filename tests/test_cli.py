@@ -9,9 +9,11 @@ from symrees.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_ESTABLISHED,
     EXIT_VERIFIED,
+    exit_code,
     load_configuration,
     run,
 )
+from symrees.errors import InputError, InvariantError, ResourceLimitError
 
 
 def _normalized(path):
@@ -297,3 +299,22 @@ def test_internal_error_maps_to_exit_four(monkeypatch, capsys):
         monkeypatch.setattr(symrees.cli, "verify", broken)
         assert run(["verify-three-points"]) == EXIT_INTERNAL
         assert "bug" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ResourceLimitError("the cap ran out"), 3),
+    (InputError("a bad point"), 2),
+    (OSError("no such file"), 2),
+    (InvariantError("verdicts disagree across seeds"), 4),
+])
+def test_one_exit_code_table(monkeypatch, capsys, exc, code):
+    # the table run() answers with, which scripts/run_verifications.py reads too
+    import symrees.cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    assert exit_code(exc) == code
+    monkeypatch.setattr(symrees.cli, "verify", broken)
+    assert run(["verify-three-points"]) == code
+    assert ("bug" in capsys.readouterr().err) == (code == 4)

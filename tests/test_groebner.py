@@ -444,8 +444,9 @@ def test_degree_past_the_packed_fields_raises():
 
 def test_leads_without_a_pure_power_skip_the_covered_degree_scan(monkeypatch):
     # no lead is a power of y or of z, so no degree is ever covered; a scan
-    # for the first covered degree would count every degree up to the cap,
-    # each a sum of d + 1 two-variable counts (about 500,000 calls here)
+    # for the first covered degree before the pairs would count every degree
+    # up to the cap, each a sum of d + 1 two-variable counts (about 500,000
+    # calls here).  The run counts only at pop time, once per lcm degree.
     calls = []
     count = groebner.standard_count
 

@@ -170,6 +170,19 @@ def test_unit_ideal_short_circuits():
     assert one.vector_space_dimension() == 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=True), st.sampled_from([PrimeField(13), CyclotomicField(3), Q]))
+def test_intersection_with_the_unit_ideal_is_the_other_operand(rnd, field):
+    # no operand is tested for (1): the elimination itself returns the
+    # other operand's reduced basis, on either side
+    ring = PolyRing(field, ("x", "y", "z"))
+    J = _random_point_product(ring, rnd)
+    one = Ideal.unit(ring)
+    for K in (one.intersect(J), J.intersect(one)):
+        assert K == J
+        assert K._gb.polynomials == J.groebner().polynomials
+
+
 def test_intersect_all_is_left_to_right():
     parts = [Ideal([x]), Ideal([y]), Ideal([z])]
     assert intersect_all(parts) == Ideal([x * y * z])
@@ -245,8 +258,8 @@ def test_elimination_carries_its_grevlex_basis(rnd, field, saturate):
     irrational = isinstance(field, CyclotomicField)
     I = _random_ideal(ring, rnd, irrational=irrational)
     J = _random_ideal(ring, rnd, count=1 if saturate else 2, irrational=irrational)
-    if I is None or J is None or (not saturate and (I.is_unit() or J.is_unit())):
-        return  # an intersection with the unit ideal eliminates nothing
+    if I is None or J is None:
+        return
     K = I.saturation(J.generators[0]) if saturate else I.intersect(J)
     if not K.generators:
         return

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import from_dict, in_point_power_by_shift
+from symrees import groebner, ideals
+from symrees.configs import fermat
 from symrees.errors import BudgetExceededError, DuplicatePointsError, InputError
 from symrees.fields import CyclotomicField, PrimeField, RationalField
-from symrees.groebner import normal_form
+from symrees.groebner import normal_form, reduced_groebner_basis
 from symrees.ideals import Ideal
 from symrees.points import (
     PointPowerCache,
@@ -19,7 +21,7 @@ from symrees.points import (
     symbolic_power_ideal,
     symbolic_power_membership,
 )
-from symrees.polynomials import Polynomial
+from symrees.polynomials import BlockOrder, Polynomial
 
 Q = RationalField()
 R = base_ring(Q)
@@ -59,6 +61,48 @@ def test_defining_ideal_vanishes_at_its_point():
         gb = defining_ideal(pt, R).groebner()
         assert len(gb) == 2
         assert all(p.total_degree() == 1 for p in gb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Q, CyclotomicField(3), PrimeField(7)]), st.integers(0, 2),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.lists(st.integers(-2, 2), min_size=3, max_size=3), st.integers(1, 3))
+def test_defining_ideal_is_the_reduced_basis_of_the_minors(field, chart, ints, irr, scale):
+    # zero past ``chart`` and nonzero at it, any value (zero too) before it;
+    # over Q(zeta_3) the values carry multiples of zeta.  The minors take
+    # the unnormalized coordinates, times ``scale``.
+    ring = base_ring(field)
+    xs = [ring.var(v) for v in ("x", "y", "z")]
+    coords = [field.from_int(scale * a) for a in ints]
+    if isinstance(field, CyclotomicField):
+        coords = [field.add(c, field.mul(field.from_int(b), field.generator()))
+                  for c, b in zip(coords, irr)]
+    coords[chart + 1:] = [field.zero] * (2 - chart)
+    if field.is_zero(coords[chart]):
+        coords[chart] = field.one
+    pt = ProjectivePoint(field, coords)
+    minors = [xs[i].scale(coords[j]) - xs[j].scale(coords[i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    expected = reduced_groebner_basis([m for m in minors if not m.is_zero()])
+    assert set(defining_ideal(pt, ring).generators) == set(expected.polynomials)
+
+
+@pytest.mark.parametrize("n, r", [(3, 3), (4, 2), (5, 1)])
+def test_symbolic_power_ideal_runs_one_basis_per_intersection(monkeypatch, n, r):
+    # the point ideals are written down, not computed, and no operand is
+    # probed for the unit ideal: every Buchberger run is an elimination
+    # whose basis is read, 11 + 18 + 27 over these three
+    cfg = fermat(n)
+    completed = groebner._completed_basis
+    runs = []
+
+    def counted(*args):
+        runs.append(args[1])
+        return completed(*args)
+
+    monkeypatch.setattr(groebner, "_completed_basis", counted)
+    monkeypatch.setattr(ideals, "_completed_basis", counted)
+    symbolic_power_ideal(cfg.points, r, cfg.ring)
+    assert runs == [BlockOrder(1)] * (len(cfg.points) - 1)
 
 
 def test_point_set_rejects_duplicates():

@@ -1,12 +1,14 @@
-"""The summary lines of ``scripts/run_verifications.py``."""
+"""The summary lines and exit codes of ``scripts/run_verifications.py``."""
 
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
 
+import run_verifications
 from run_verifications import _rewitnessed, build_jobs, summary_detail
 
+from symrees import cli
 from symrees.configs import WitnessPair
 from symrees.verifier import VERDICT_NOT_ESTABLISHED, VERDICT_VERIFIED, verify
 
@@ -23,3 +25,7 @@ def test_product_detail_says_unequal_when_the_check_fails():
     report = verify(make(), seed=0)
     assert report.verdict == VERDICT_NOT_ESTABLISHED and not report.product_check["holds"]
     assert summary_detail(report) == "9*9 != 3*3*12"
+
+
+def test_exit_codes_are_the_cli_table():
+    assert run_verifications.exit_code is cli.exit_code

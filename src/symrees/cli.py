@@ -107,9 +107,7 @@ def _build_configuration(obj, char: int) -> Configuration:
     kind = obj.get("kind")
     if kind == "fermat":
         n = json_int(obj, "n")
-        field = PrimeField(char, root_order=n) if char else (
-            make_field(FieldSpec.from_json(obj["field"])) if "field" in obj else None
-        )
+        field = _json_field(obj, char, root_order=n)
         alpha = None
         if obj.get("alpha") is not None:
             probe = field if field is not None else CyclotomicField(n)
@@ -117,20 +115,15 @@ def _build_configuration(obj, char: int) -> Configuration:
         return fermat(n, alpha=alpha, field=field)
     if kind == "grid":
         m, n = json_int(obj, "m"), json_int(obj, "n")
-        field = None
-        if char:
-            field = PrimeField(char, root_order=lcm(m, n))
-        elif "field" in obj:
-            field = make_field(FieldSpec.from_json(obj["field"]))
-        return grid_example(m, n, field=field)
+        return grid_example(m, n, field=_json_field(obj, char, root_order=lcm(m, n)))
     if kind == "three-points":
-        field = _json_field(obj, char)
+        field = _json_field(obj, char) or RationalField()
         pts = [_point_from_strings(field, c) for c in obj["points"]]
         if len(pts) != 3:
             raise InputError("three-points needs exactly three points")
         return three_points(*pts)
     if kind == "two-pencils":
-        field = _json_field(obj, char)
+        field = _json_field(obj, char) or RationalField()
         ring = base_ring(field)
         a = _point_from_strings(field, obj["A"])
         b = _point_from_strings(field, obj["B"])
@@ -138,7 +131,7 @@ def _build_configuration(obj, char: int) -> Configuration:
         g_factors = [parse_polynomial(t, ring) for t in obj["g_factors"]]
         return two_pencils(f_factors, g_factors, a, b)
     if kind == "custom":
-        field = _json_field(obj, char)
+        field = _json_field(obj, char) or RationalField()
         ring = base_ring(field)
         pts = PointSet([_point_from_strings(field, c) for c in obj["points"]],
                        obj.get("label", "custom"))
@@ -152,12 +145,14 @@ def _build_configuration(obj, char: int) -> Configuration:
     raise InputError(f"unknown configuration kind {kind!r}")
 
 
-def _json_field(obj, char: int) -> Field:
+def _json_field(obj, char: int, root_order: int | None = None) -> Field | None:
+    """F_char when a characteristic is given (with the roots of unity of
+    ``root_order``), else the object's own field, else None."""
     if char:
-        return PrimeField(char)
+        return PrimeField(char, root_order=root_order)
     if "field" in obj:
         return make_field(FieldSpec.from_json(obj["field"]))
-    return RationalField()
+    return None
 
 
 def _print_report(report, field):

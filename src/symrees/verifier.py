@@ -33,16 +33,17 @@ char-0 route, whose first run is at the F_p certificate degree; a finite
 L_p bounds its length, and a larger one raises InvariantError.
 ``stable_at`` is the degree of whichever certificate proved the length.
 
-``verify`` repeats the length route with a second seed as a confirmation,
-and that run starts at the ``stable_at`` the first seed proved.  The counts
-below N' do not depend on N', so the starting point cannot change the
-confirmation's length or its ``stable_at``: it only decides how many runs
-it takes, one when its certificate degree is at most the first seed's.
+``verify`` proves the length again with the next seed's u as a
+confirmation (``_length``: no gate, no report), started at the
+``stable_at`` the first seed proved.  The counts below N' do not depend on
+N', so the start cannot change the confirmation's length or its
+``stable_at``: it only decides how many runs it takes, one when its
+certificate degree is at most the first seed's.
 
 Each route starts at one gate, ``_gated_report``: it checks and times the
 memberships xi_i in I^(r_i), and a witness outside gives the route's
-not-established report with nothing else run.  ``verify`` computes no
-membership of its own.
+not-established report with nothing else run.  No other code computes a
+membership, so a ``verify`` computes them once.
 
 A verified criterion implies the symbolic Rees ring is finitely generated; a
 failed check proves nothing (the criterion is existential over witness pairs).
@@ -394,17 +395,17 @@ def _eliminate_along(u: GenericLinearForm, polys):
     return out
 
 
-def _gated_report(H: PointSet, witnesses, method, seed, memberships=None):
+def _gated_report(H: PointSet, witnesses, method, seed):
     """A route's report with the witnesses' memberships, and whether both hold.
 
-    The memberships are computed here, or taken as given, and timed.  The
-    criterion applies only to xi_i in the r_i-th symbolic power, so when a
-    witness is outside the report says so and stays not established, and
-    the route returns it as it is."""
+    The memberships are computed and timed here.  The criterion applies only
+    to xi_i in the r_i-th symbolic power, so when a witness is outside the
+    report says so and stays not established, and the route returns it as
+    it is."""
     report = VerificationReport(config=None, field=H.field.spec.to_json(), seed=seed)
     report.method = method
     t0 = time.monotonic()
-    report.memberships = memberships or membership_results(H, witnesses, witnesses.xi1.ring)
+    report.memberships = membership_results(H, witnesses, witnesses.xi1.ring)
     report.timings_ms["memberships"] = _ms(t0)
     held = all(m["member"] for m in report.memberships)
     if not held:
@@ -443,21 +444,40 @@ def check_homogeneous_condition(H: PointSet, witnesses) -> VerificationReport:
     return report
 
 
+def _length(witnesses, u: GenericLinearForm, rhs: int, cap, first: int):
+    """``(lhs, stable_at)``: the proved local length of S/(u, xi1, xi2) at
+    the origin.  Over Q or Q(zeta_n) the length L_p modulo a prime comes
+    first, from N' = ``first``, and L_p = rhs proves it.  Otherwise one
+    exact run follows, from the F_p ``stable_at`` when L_p was finite (a good
+    prime certifies there too), else from ``first``.  L > L_p or L < rhs
+    (Huneke) is a bug: InvariantError."""
+    xi1s, xi2s = _eliminate_along(u, [witnesses.xi1, witnesses.xi2])
+    J = Ideal([xi1s, xi2s], ring=xi1s.ring)  # no generator if u divides both
+    found = None
+    if xi1s.ring.field.characteristic == 0:
+        found = _local_length_mod_prime(J, cap, rhs, first)
+        if found is not None and found[0] == rhs:
+            return found
+    lhs, stable_at = local_length_at_origin(J, cap, first if found is None else found[1])
+    if found is not None and lhs > found[0]:
+        raise InvariantError(f"the local length {lhs} exceeds its bound {found[0]} mod a prime")
+    if lhs != INFINITE and lhs < rhs:
+        raise InvariantError(
+            f"computed local length {lhs} fell below the certified bound {rhs}"
+        )
+    return lhs, stable_at
+
+
 def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | None = None,
-                              seed: int = 0, cap: int | None = None,
-                              precomputed_memberships=None,
-                              first: int | None = None) -> VerificationReport:
+                              seed: int = 0, cap: int | None = None) -> VerificationReport:
     """Length-equality criterion: local length of (u, xi1, xi2) vs r1*r2*#H.
 
-    A given ``u`` that vanishes at a point of H raises InputError.
-    ``first``, when given, is the first truncation degree N' of the length's
-    DS runs in place of the one picked from rhs; it never changes the
-    report (see ``local_length_at_origin``).  A witness outside its
-    symbolic power leaves the not-established report with no length and
-    nothing else run; ``precomputed_memberships`` are taken as the
-    memberships in place of computing them."""
+    A given ``u`` that vanishes at a point of H raises InputError.  A
+    witness outside its symbolic power leaves the not-established report
+    with no length and nothing else run.  The length's DS runs start at the
+    N' picked from rhs (``_first_truncation``)."""
     field = H.field
-    report, held = _gated_report(H, witnesses, METHOD_LENGTH, seed, precomputed_memberships)
+    report, held = _gated_report(H, witnesses, METHOD_LENGTH, seed)
     if not held:
         return report
 
@@ -472,30 +492,8 @@ def check_condition_by_length(H: PointSet, witnesses, u: GenericLinearForm | Non
     report.timings_ms["linear_form"] = _ms(t0)
 
     t0 = time.monotonic()
-    xi1s, xi2s = _eliminate_along(u, [witnesses.xi1, witnesses.xi2])
-    J = Ideal([xi1s, xi2s], ring=xi1s.ring)  # no generator if u divides both
-    if first is None:
-        first = _first_truncation(rhs)
-    found = None
-    if field.characteristic == 0:
-        found = _local_length_mod_prime(J, cap, rhs, first)
-    if found is None:
-        lhs, stable_at = local_length_at_origin(J, cap, first)
-    elif found[0] == rhs:
-        lhs, stable_at = found
-    else:
-        # the first run is at the F_p stable_at, where a good prime
-        # certifies too; L <= L_p, so a larger L is a bug
-        lhs, stable_at = local_length_at_origin(J, cap, found[1])
-        if lhs > found[0]:
-            raise InvariantError(
-                f"the local length {lhs} exceeds its bound {found[0]} mod a prime")
+    lhs, stable_at = _length(witnesses, u, rhs, cap, _first_truncation(rhs))
     report.timings_ms["local_length"] = _ms(t0)
-
-    if lhs != INFINITE and lhs < rhs:
-        raise InvariantError(
-            f"computed local length {lhs} fell below the certified bound {rhs}"
-        )
     report.lengths = {"lhs": lhs, "rhs": rhs}
     if stable_at is not None:
         report.lengths["stable_at"] = stable_at
@@ -507,20 +505,17 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     """Full verification of a configuration's witness pair.
 
     Routes homogeneous pairs through the product check, everything else
-    through the length check, which is repeated with a second seed and must
-    agree.  The memberships are checked and timed in the route, once: a
-    witness outside its symbolic power ends the run with the route's
-    not-established report, and the confirmation seed reuses the first
-    seed's memberships.  The second seed's DS runs start at the first seed's
-    ``stable_at``: its own u gives an independent length, and since the
-    counts below a truncation degree do not depend on it, the start changes
-    neither that length nor its ``stable_at``.  When both seeds share the
-    certificate degree (every built-in configuration) the confirmation is
-    one DS run.  A verified report certifies finite generation of the
-    symbolic Rees ring; a non-established one proves nothing either way.
-    Each stage is timed where it runs; the confirmation seed's run is the
-    one entry ``timings_ms["confirmation"]``.
+    through the length check, whose length is then proved again with the
+    next seed's u, from the first seed's ``stable_at`` (module docstring);
+    the two verdicts must agree.  A ``cap`` below 3 is bad input on either
+    route, refused before any work.  A witness outside its symbolic power
+    ends the run with the route's not-established report.  A verified
+    report certifies finite generation of the symbolic Rees ring; a
+    non-established one proves nothing either way.  Each stage is timed
+    where it runs; the confirmation is ``timings_ms["confirmation"]``.
     """
+    if cap is not None and cap < 3:
+        raise InputError("the truncation cap must be at least 3")
     t_total = time.monotonic()
     H = config.points
     witnesses = config.witnesses
@@ -533,19 +528,19 @@ def verify(config, seed: int = 0, cap: int | None = None) -> VerificationReport:
     held = all(m["member"] for m in report.memberships)  # else the route's report as it is
     if held and report.method == METHOD_LENGTH:
         t0 = time.monotonic()
-        second = check_condition_by_length(H, witnesses, seed=seed + 1, cap=cap,
-                                           precomputed_memberships=report.memberships,
-                                           first=report.lengths.get("stable_at"))
+        rhs = report.lengths["rhs"]
+        u = pick_generic_linear_form(H, seed + 1)
+        lhs, _ = _length(witnesses, u, rhs, cap,
+                         report.lengths.get("stable_at", _first_truncation(rhs)))
+        verdict = VERDICT_VERIFIED if lhs == rhs else VERDICT_NOT_ESTABLISHED
         report.timings_ms["confirmation"] = _ms(t0)
-        if second.verdict != report.verdict:
+        if verdict != report.verdict:
             raise InvariantError("verdicts disagree across seeds")
-        if report.verdict == VERDICT_VERIFIED and second.lengths["lhs"] != report.lengths["lhs"]:
-            raise InvariantError("local lengths disagree across verifying seeds")
         report.confirmation = {
-            "seed": second.seed,
-            "u": second.u,
-            "lhs": "Infinite" if second.lengths["lhs"] == INFINITE else second.lengths["lhs"],
-            "verdict": second.verdict,
+            "seed": u.seed,
+            "u": str(u.polynomial),
+            "lhs": "Infinite" if lhs == INFINITE else lhs,
+            "verdict": verdict,
         }
     if held:
         if config.field.characteristic:

@@ -193,6 +193,28 @@ def test_cap_exceeded_maps_to_exit_three(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, uncapped", [
+    (["verify-fermat", "--n", "3"], EXIT_VERIFIED),
+    (["verify-grid", "--m", "2", "--n", "2"], EXIT_VERIFIED),
+    (["verify-custom", "--input"], EXIT_NOT_ESTABLISHED),
+], ids=["product-route", "length-route", "length-route-nonmember"])
+def test_cap_below_three_is_bad_input_on_every_route(tmp_path, capsys, argv, uncapped):
+    # x*y + z is not homogeneous and misses (0 : 0 : 1): a length-route pair
+    # whose gate fails before any DS run could read the cap
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "kind": "custom",
+        "points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "witnesses": {"xi1": "x*y + z", "r1": 1, "xi2": "x*y*z", "r2": 1},
+    }))
+    if argv[-1] == "--input":
+        argv = argv + [str(cfgfile)]
+    assert run(argv) == uncapped
+    capsys.readouterr()
+    assert run(argv + ["--cap", "1"]) == EXIT_INPUT_ERROR
+    assert "cap" in capsys.readouterr().err
+
+
 def test_degree_past_the_packed_fields_maps_to_exit_three(tmp_path, capsys):
     from symrees.cli import EXIT_RESOURCE
     from symrees.groebner import MAX_DEGREE

@@ -34,6 +34,7 @@ from symrees.verifier import (
     VERDICT_VERIFIED,
     GenericLinearForm,
     _first_truncation,
+    _length,
     _local_length_mod_prime,
     check_condition_by_length,
     check_homogeneous_condition,
@@ -891,13 +892,13 @@ def test_char0_fallback_starts_at_the_modular_certificate_degree(monkeypatch):
 
 def _traced_runs_and_gates(monkeypatch):
     """Log each DS run as ("run", N'), each dimension test of a two-variable
-    J as "gate" (the length route makes none), and each length check as
-    ("seed", s).  N' is read where the length route asks for the counts
+    J as "gate" (the length route makes none), and each linear form drawn
+    as ("seed", s).  N' is read where the length route asks for the counts
     below it, not from the run's truncate_degree."""
     events = []
     counts = verifier._local_standard_counts
     krull = Ideal.krull_dimension
-    by_length = verifier.check_condition_by_length
+    pick = verifier.pick_generic_linear_form
 
     def run(gens, ring, n):
         events.append(("run", n))
@@ -908,13 +909,13 @@ def _traced_runs_and_gates(monkeypatch):
             events.append("gate")
         return krull(self)
 
-    def seed(*args, **kw):
-        events.append(("seed", kw["seed"]))
-        return by_length(*args, **kw)
+    def seed(H, s):
+        events.append(("seed", s))
+        return pick(H, s)
 
     monkeypatch.setattr(verifier, "_local_standard_counts", run)
     monkeypatch.setattr(Ideal, "krull_dimension", gate)
-    monkeypatch.setattr(verifier, "check_condition_by_length", seed)
+    monkeypatch.setattr(verifier, "pick_generic_linear_form", seed)
     return events
 
 
@@ -941,17 +942,31 @@ def test_confirmation_is_one_run_at_the_proved_stable_at(monkeypatch, make, firs
 def test_first_truncation_below_the_certificate_degree_changes_nothing(monkeypatch):
     cfg = fermat(4, field=PrimeField(13, root_order=4))
     u = pick_generic_linear_form(cfg.points, seed=1)
-
-    def report(first):
-        rep = check_condition_by_length(cfg.points, cfg.witnesses, u=u, first=first)
-        return {k: v for k, v in rep.to_json_dict().items() if k != "timings_ms"}
-
-    expected = report(None)
-    assert expected["lengths"]["stable_at"] == 36
+    rhs = 304
+    assert _length(cfg.witnesses, u, rhs, None, _first_truncation(rhs)) == (rhs, 36)
     events = _traced_runs_and_gates(monkeypatch)
-    assert report(20) == expected
+    assert _length(cfg.witnesses, u, rhs, None, 20) == (rhs, 36)
     # the failed run at 20 makes no dimension test, and N' grows by a quarter
     assert events == [("run", 20), ("run", 25), ("run", 31), ("run", 38)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_example(2, 2),
+    lambda: fermat(4, field=PrimeField(13, root_order=4)),
+], ids=["grid-2x2", "fermat-4-f13"])
+def test_length_route_verify_computes_the_memberships_once(monkeypatch, make):
+    calls = []
+    memberships = verifier.membership_results
+
+    def counted(*args):
+        calls.append(args)
+        return memberships(*args)
+
+    monkeypatch.setattr(verifier, "membership_results", counted)
+    report = verify(make(), seed=0)
+    assert report.method == METHOD_LENGTH
+    assert report.verdict == report.confirmation["verdict"] == VERDICT_VERIFIED
+    assert len(calls) == 1
 
 
 def test_modular_length_below_rhs_is_a_bug():

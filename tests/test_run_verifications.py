@@ -32,7 +32,8 @@ REPORTS = pathlib.Path(__file__).resolve().parent / "data" / "reports.json"
 
 
 def test_reports_match_the_recorded_ones():
-    # reports.json holds the 13 jobs' seed-0 reports without timings_ms: it
+    # reports.json holds the 13 jobs' seed-0 reports without timings_ms
+    # (the --out-dir files of run_verifications.py, keyed by job name): it
     # pins u, stable_at, the notes and the confirmation's seed and u
     recorded = json.loads(REPORTS.read_text())
     jobs = build_jobs(False) + negative_jobs()
